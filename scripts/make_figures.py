@@ -9,13 +9,12 @@ Run from the repository root:  python3 scripts/make_figures.py
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mvaudit.data import partition  # noqa: E402
+from mvaudit.data import half_margin, partition  # noqa: E402
 from mvaudit.fixtures import load_fixture  # noqa: E402
 from mvaudit.scenario import build_reversal_scenario  # noqa: E402
 from mvaudit.svgplot import render_scatter  # noqa: E402
@@ -31,7 +30,7 @@ def main() -> None:
         encoding="utf-8",
     )
     _, red = partition(ds)
-    votes = math.ceil(ds.margin_official / 2)
+    votes = half_margin(ds.margin_official)
     modified = build_reversal_scenario(ds, red, votes).modified
     (OUT_DIR / "figure2.svg").write_text(
         render_scatter(modified, title="Mail vs ballot vote shares - modified results"),

@@ -30,7 +30,7 @@ from .special import (
     student_t_quantile,
     student_t_sf,
 )
-from .wls import GeneralWlsFit, GeneralWlsProblem, RegressionFit, fit_through_origin, solve_general
+from .wls import RegressionFit, fit_through_origin
 
 __all__ = [
     "__version__",
@@ -42,10 +42,7 @@ __all__ = [
     "partition",
     "aggregate_red",
     "reversal_threshold",
-    "GeneralWlsProblem",
-    "GeneralWlsFit",
     "RegressionFit",
-    "solve_general",
     "fit_through_origin",
     "ReversalReport",
     "PredictionInterval",

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .data import load_dataset, partition, serialize_dataset
+from .data import half_margin, load_dataset, partition, serialize_dataset
 from .errors import AuditError
 from .montecarlo import ModelParameters, calibrate
 from .prediction import analyze_dataset, prediction_interval
@@ -114,7 +114,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         margin = ds.margin_official
         if margin <= 0:
             raise AuditError(f"official margin is {margin}; no deficit to reassign")
-        votes = math.ceil(margin / 2)
+        votes = half_margin(margin)
     result = build_reversal_scenario(ds, red, votes, base=args.base)
     csv_text = serialize_dataset(result.modified)
     summary = {

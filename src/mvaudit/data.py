@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import AuditError
 
@@ -32,8 +31,10 @@ __all__ = [
     "parse_dataset",
     "load_dataset",
     "serialize_dataset",
+    "contested_statuses",
     "partition",
     "aggregate_red",
+    "half_margin",
     "reversal_threshold",
 ]
 
@@ -149,25 +150,12 @@ class ElectionDataset:
         return sum(d.c2_votes for d in self.districts) - sum(d.c1_votes for d in self.districts)
 
 
-class RedTotals(tuple):
+class RedTotals(NamedTuple):
     """Aggregate (ballot_c1, mail_total, mail_c1) over the contested districts."""
 
-    __slots__ = ()
-
-    def __new__(cls, ballot_c1: int, mail_total: int, mail_c1: int):
-        return super().__new__(cls, (ballot_c1, mail_total, mail_c1))
-
-    @property
-    def ballot_c1(self) -> int:
-        return self[0]
-
-    @property
-    def mail_total(self) -> int:
-        return self[1]
-
-    @property
-    def mail_c1(self) -> int:
-        return self[2]
+    ballot_c1: int
+    mail_total: int
+    mail_c1: int
 
 
 def _parse_int(value: str, column: str, line: int) -> int:
@@ -233,6 +221,11 @@ def serialize_dataset(ds: ElectionDataset) -> str:
     return out.getvalue()
 
 
+def contested_statuses(include_dubious: bool) -> set[str]:
+    """Statuses on the contested side; dubious joins red only on request."""
+    return {"red", "dubious"} if include_dubious else {"red"}
+
+
 def partition(
     ds: ElectionDataset, include_dubious_as_red: bool = False
 ) -> tuple[tuple[DistrictRecord, ...], tuple[DistrictRecord, ...]]:
@@ -242,7 +235,7 @@ def partition(
     ``include_dubious_as_red`` moves them to the contested side.  No district
     is ever dropped or duplicated.
     """
-    red_statuses = {"red", "dubious"} if include_dubious_as_red else {"red"}
+    red_statuses = contested_statuses(include_dubious_as_red)
     green = tuple(d for d in ds if d.status not in red_statuses)
     red = tuple(d for d in ds if d.status in red_statuses)
     return green, red
@@ -258,6 +251,11 @@ def aggregate_red(red: Iterable[DistrictRecord]) -> RedTotals:
         sum(d.mail_total for d in red),
         sum(d.mail_c1 for d in red),
     )
+
+
+def half_margin(margin: int) -> int:
+    """Half the margin rounded up, exact for integers of any size."""
+    return (margin + 1) // 2
 
 
 def reversal_threshold(
@@ -278,4 +276,4 @@ def reversal_threshold(
     counted = aggregate_red(red).mail_c1
     if strict:
         return counted + margin // 2 + 1
-    return counted + math.ceil(margin / 2)
+    return counted + half_margin(margin)

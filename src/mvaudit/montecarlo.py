@@ -15,8 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ElectionDataset, partition
+from .data import ElectionDataset, aggregate_red, contested_statuses, partition
 from .errors import AuditError
+from .prediction import _standardize
 from .special import student_t_cdf, student_t_quantile
 from .wls import InsufficientDataError, RankDeficiencyError, fit_through_origin
 
@@ -103,21 +104,17 @@ def replicate_once(
     reversal probability.
     """
     counts, n_clamped = _simulate_mail_counts(ds, params, seed, replication)
-    red_statuses = {"red", "dubious"} if include_dubious else {"red"}
-    green_idx = [i for i, d in enumerate(ds) if d.status not in red_statuses]
-    red_idx = [i for i, d in enumerate(ds) if d.status in red_statuses]
-    realized = int(sum(int(counts[i]) for i in red_idx))
-    green = [replace(ds.districts[i], mail_c1=int(counts[i])) for i in green_idx]
+    contested = contested_statuses(include_dubious)
+    green = [replace(d, mail_c1=int(c)) for d, c in zip(ds, counts) if d.status not in contested]
+    red = [d for d in ds if d.status in contested]
+    realized = sum(int(c) for d, c in zip(ds, counts) if d.status in contested)
     try:
         fit = fit_through_origin(green)
     except (InsufficientDataError, RankDeficiencyError):
         return ReplicationOutcome(None, realized, n_clamped)
     if fit.sigma2 <= 0.0:
         return ReplicationOutcome(None, realized, n_clamped)
-    ballot_c1 = sum(ds.districts[i].ballot_c1 for i in red_idx)
-    mail_total = sum(ds.districts[i].mail_total for i in red_idx)
-    pred_sd = math.sqrt(fit.sigma2 * (ballot_c1 * ballot_c1 / fit.s_xx + mail_total))
-    t = (realized - fit.slope * ballot_c1) / pred_sd
+    _, _, t = _standardize(fit, aggregate_red(red), realized)
     return ReplicationOutcome(t, realized, n_clamped)
 
 
@@ -160,15 +157,16 @@ def calibrate(
 
     Simulates the model ``replications`` times, collects the standardized
     statistics, and reports the Kolmogorov-Smirnov distance to the
-    t distribution with (accepted districts - 1) degrees of freedom plus
-    probe-quantile errors.  Fit failures are counted, not fatal.
+    t distribution with the degrees of freedom of the observed accepted-side
+    fit, plus probe-quantile errors.  That fit must succeed; failed fits of
+    simulated elections are counted, not fatal.
     """
     if replications < 100:
         raise AuditError(f"need at least 100 replications, got {replications}")
     green, red = partition(ds, include_dubious_as_red=include_dubious)
     if not red:
         raise AuditError("dataset has no contested districts to calibrate against")
-    dof = sum(1 for d in green if d.mail_total > 0) - 1
+    dof = fit_through_origin(green).dof
     t_stats: list[float] = []
     total_clamped = 0
     failed = 0
@@ -197,5 +195,5 @@ def calibrate(
         failed_replications=failed,
         clamped_fraction=total_clamped / (replications * len(ds.districts)),
         mean_red_mail_c1=realized_total / replications,
-        expected_red_mail_c1=params.k * sum(d.ballot_c1 for d in red),
+        expected_red_mail_c1=params.k * aggregate_red(red).ballot_c1,
     )

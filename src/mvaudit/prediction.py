@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .data import DistrictRecord, ElectionDataset, aggregate_red, partition, reversal_threshold
+from .data import (
+    DistrictRecord,
+    ElectionDataset,
+    RedTotals,
+    aggregate_red,
+    partition,
+    reversal_threshold,
+)
 from .errors import AuditError
 from .special import TailProbability, student_t_quantile, student_t_sf
 from .wls import RegressionFit, fit_through_origin
@@ -53,8 +60,19 @@ class PredictionInterval:
     point_prediction: float
 
 
-def _pred_sd(fit: RegressionFit, ballot_c1: int, mail_total: int) -> float:
-    return math.sqrt(fit.sigma2 * (ballot_c1 * ballot_c1 / fit.s_xx + mail_total))
+def _standardize(
+    fit: RegressionFit, totals: RedTotals, value: float
+) -> tuple[float, float, float]:
+    """(prediction, pred_sd, t) for the contested aggregate and an observed ``value``.
+
+    The Monte Carlo calibration standardizes its simulated aggregates here
+    too, so it tests exactly the statistic the analysis reports.  Needs
+    sigma2 > 0.
+    """
+    ballot_c1, mail_total = totals.ballot_c1, totals.mail_total
+    prediction = fit.slope * ballot_c1
+    pred_sd = math.sqrt(fit.sigma2 * (ballot_c1 * ballot_c1 / fit.s_xx + mail_total))
+    return prediction, pred_sd, (value - prediction) / pred_sd
 
 
 def reversal_probability(
@@ -70,8 +88,8 @@ def reversal_probability(
     of silently pretending certainty was computed.
     """
     totals = aggregate_red(red)
-    prediction = fit.slope * totals.ballot_c1
     if fit.sigma2 <= 0.0:
+        prediction = fit.slope * totals.ballot_c1
         p = 1.0 if threshold <= prediction else 0.0
         tail = TailProbability(p, 0.0 if p == 1.0 else -math.inf)
         return ReversalReport(
@@ -87,8 +105,7 @@ def reversal_probability(
             variant=variant,
             degenerate=True,
         )
-    pred_sd = _pred_sd(fit, totals.ballot_c1, totals.mail_total)
-    t_stat = (threshold - prediction) / pred_sd
+    prediction, pred_sd, t_stat = _standardize(fit, totals, threshold)
     return ReversalReport(
         red_ballot_c1=totals.ballot_c1,
         red_mail_total=totals.mail_total,
@@ -111,9 +128,7 @@ def prediction_interval(
         raise AuditError(f"interval level must be in (0, 1), got {level!r}")
     if fit.sigma2 <= 0.0:
         raise AuditError("degenerate fit (sigma2 == 0) has no prediction interval")
-    totals = aggregate_red(red)
-    prediction = fit.slope * totals.ballot_c1
-    pred_sd = _pred_sd(fit, totals.ballot_c1, totals.mail_total)
+    prediction, pred_sd, _ = _standardize(fit, aggregate_red(red), 0.0)
     halfwidth = student_t_quantile(0.5 * (1.0 + level), fit.dof) * pred_sd
     return PredictionInterval(
         level=level,

@@ -178,6 +178,25 @@ class TestCalibrate:
         assert code == 0
         assert payload["model_k"] == 0.18
 
+    def test_too_few_fitted_districts_exits_one(self, capsys, tmp_path):
+        # one accepted district has no mail votes, leaving a single one to fit
+        path = tmp_path / "thin.csv"
+        path.write_text(
+            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+            "1,A,1000,400,200,90,green\n"
+            "2,B,1000,500,0,0,green\n"
+            "3,C,1000,450,300,120,red\n",
+            encoding="utf-8",
+        )
+        args = ("calibrate", str(path), "--reps", "100", "--k", "0.4", "--sigma", "2")
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert "at least 2 districts" in err
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "data" and "at least 2 districts" in error["message"]
+
 
 class TestValidate:
     def test_fixture_shape(self, capsys, fixture_arg):

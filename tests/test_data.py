@@ -205,6 +205,15 @@ class TestReversalThreshold:
         _, red = partition(dataset)
         assert reversal_threshold(dataset, red) == reversal_threshold(dataset, red, strict=True)
 
+    def test_exact_at_margin_beyond_float_precision(self):
+        # ceil((2**53 + 1) / 2) in floats gives 2**52: the division rounds first
+        margin = 2**53 + 1
+        ds = parse_dataset(csv_of(f"1,A,{margin},0,0,0,red"))
+        assert ds.margin_official == margin
+        _, red = partition(ds)
+        assert reversal_threshold(ds, red) == 4503599627370497
+        assert reversal_threshold(ds, red, strict=True) == 4503599627370497
+
     def test_requires_candidate2_lead(self):
         ds = parse_dataset(csv_of("1,A,100,80,20,10,red"))
         _, red = partition(ds)

@@ -1,11 +1,14 @@
 """Model simulation and calibration of the standardized statistic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mvaudit.data import DistrictRecord, ElectionDataset, partition
+from mvaudit.data import DistrictRecord, ElectionDataset, aggregate_red, partition
 from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
     ModelParameters,
@@ -15,6 +18,9 @@ from mvaudit.montecarlo import (
     replicate_once,
     simulate_election,
 )
+from mvaudit.prediction import analyze_dataset, reversal_probability
+from mvaudit.wls import fit_through_origin
+from tests.conftest import make_random_dataset
 
 # slope chosen so model means sit mid-range of the mail totals
 PARAMS = ModelParameters(k=0.3, sigma=3.0)
@@ -139,8 +145,6 @@ class TestCalibrate:
 
     def test_loose_ks_on_small_run(self, dataset):
         green, _ = partition(dataset)
-        from mvaudit.wls import fit_through_origin
-
         fit = fit_through_origin(green)
         params = ModelParameters(k=fit.slope, sigma=math.sqrt(fit.sigma2))
         report = calibrate(dataset, params, replications=400, seed=20160522)
@@ -154,3 +158,38 @@ class TestCalibrate:
             ModelParameters(k=0.5, sigma=0.0)
         with pytest.raises(AuditError):
             ModelParameters(k=math.inf, sigma=1.0)
+
+
+class TestAnalysisPathAgreement:
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**63 - 1),
+        replication=st.integers(0, 10_000),
+        include_dubious=st.booleans(),
+    )
+    @settings(max_examples=40)
+    def test_replication_reproduces_analysis(self, data_seed, seed, replication, include_dubious):
+        # a replication must compute exactly the statistic analyze reports on
+        # the simulated election, with the realized aggregate as threshold
+        rng = np.random.default_rng(data_seed)
+        ds = make_random_dataset(
+            rng,
+            n_green=int(rng.integers(3, 15)),
+            n_red=int(rng.integers(1, 5)),
+            n_dubious=int(rng.integers(0, 3)),
+        )
+        # a green district without mail votes is left out of the fit and its dof
+        ds = ElectionDataset((replace(ds.districts[0], mail_total=0, mail_c1=0), *ds.districts[1:]))
+        assume(ds.margin_official > 0)
+        params = ModelParameters(k=float(rng.uniform(0.02, 0.5)), sigma=float(rng.uniform(0.5, 10.0)))
+
+        outcome = replicate_once(ds, params, seed, replication, include_dubious=include_dubious)
+        simulated = simulate_election(ds, params, seed, replication)
+        green, red = partition(simulated, include_dubious_as_red=include_dubious)
+        realized = aggregate_red(red).mail_c1
+        report = reversal_probability(fit_through_origin(green), red, threshold=realized)
+        assert outcome.red_mail_c1 == realized
+        assert outcome.t_stat.hex() == report.t_stat.hex()
+
+        calibrated = calibrate(ds, params, replications=100, seed=seed, include_dubious=include_dubious)
+        assert calibrated.dof == analyze_dataset(ds, include_dubious=include_dubious).fit.dof
