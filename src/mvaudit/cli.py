@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="proportional allocation base (default: mail_total)",
             )
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (u64)")
+            p.add_argument(
+                "--seed", type=int, default=DEFAULT_SEED, help="PRNG seed, 0 <= seed < 2**128"
+            )
         if out:
             p.add_argument("--out", help="output file path")
 

@@ -3,14 +3,25 @@
 Random numbers come from the counter-based Philox generator so streams can
 be split reproducibly: replication r uses Philox(key=seed, counter=[0,0,0,r]),
 and within a replication the district at position i consumes uniform draws
-2i and 2i+1 (Box-Muller, cosine branch).  Replications computed in any order
-therefore reproduce the serial results bit for bit.
+2i and 2i+1 (Box-Muller, cosine branch).
+
+Replications are simulated in blocks of BLOCK_ROWS rows (replications) by
+districts; each row is filled from its own stream and transformed
+elementwise.  Simulation changes only mail_c1, so the observed accepted-side
+fit supplies s_xx, dof and the geometry checks, and each row recomputes only
+s_xy and the weighted residual sum of squares, from the terms
+``wls.fit_through_origin`` uses: int * int / int for s_xy (correctly rounded
+at any size) and ``math.fsum`` for both sums (correctly rounded whatever the
+grouping).  The realized contested aggregate is an exact integer sum.  So a
+replication gives the same bits alone (``replicate_once``), in any block and
+in any order; the block size only bounds peak memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +30,7 @@ from .data import ElectionDataset, aggregate_red, contested_statuses, partition
 from .errors import AuditError
 from .prediction import _standardize
 from .special import student_t_cdf, student_t_quantile
-from .wls import InsufficientDataError, RankDeficiencyError, fit_through_origin
+from .wls import InsufficientDataError, RankDeficiencyError, RegressionFit, fit_through_origin
 
 __all__ = [
     "ModelParameters",
@@ -32,6 +43,9 @@ __all__ = [
 ]
 
 PROBE_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+# Replications simulated together: bounds peak memory whatever the count.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -48,25 +62,29 @@ class ModelParameters:
             raise AuditError(f"k must be finite, got {self.k!r}")
 
 
-def _standard_normals(seed: int, replication: int, n: int) -> np.ndarray:
-    """n standard normals; draw i is a fixed function of (seed, replication, i)."""
-    bitgen = np.random.Philox(key=int(seed), counter=[0, 0, 0, int(replication)])
-    u = np.random.Generator(bitgen).random(2 * n)
-    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    return radius * np.cos(2.0 * np.pi * u[1::2])
+def _standard_normals(seed: int, replications: range, n: int) -> np.ndarray:
+    """n standard normals per replication, one row each.
+
+    Entry [j, i] is a fixed function of (seed, replications[j], i).
+    """
+    u = np.empty((len(replications), 2 * n))
+    for row, r in zip(u, replications):
+        bitgen = np.random.Philox(key=int(seed), counter=[0, 0, 0, r])
+        np.random.Generator(bitgen).random(out=row)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    return radius * np.cos(2.0 * np.pi * u[:, 1::2])
 
 
-def _simulate_mail_counts(
-    ds: ElectionDataset, params: ModelParameters, seed: int, replication: int
-) -> tuple[np.ndarray, int]:
-    """Simulated mail_c1 counts for every district, plus how many clamped."""
+def _mail_counts(
+    ds: ElectionDataset, params: ModelParameters, seed: int, replications: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated mail_c1 counts, one row per replication, and the clamps per row."""
     ballot_c1 = np.array([d.ballot_c1 for d in ds], dtype=float)
     mail_total = np.array([d.mail_total for d in ds], dtype=float)
-    z = _standard_normals(seed, replication, len(ds.districts))
+    z = _standard_normals(seed, replications, len(ds.districts))
     raw = np.rint(params.k * ballot_c1 + z * params.sigma * np.sqrt(mail_total))
     clamped = np.clip(raw, 0.0, mail_total)
-    n_clamped = int(np.sum(clamped != raw))
-    return clamped.astype(int), n_clamped
+    return clamped.astype(int), np.count_nonzero(clamped != raw, axis=1)
 
 
 def simulate_election(
@@ -78,16 +96,67 @@ def simulate_election(
     mail_total), clamped into [0, mail_total].  Ballot votes, totals, and
     statuses are unchanged; the result is deterministic in (seed, replication).
     """
-    counts, _ = _simulate_mail_counts(ds, params, seed, replication)
-    return ElectionDataset(tuple(replace(d, mail_c1=int(c)) for d, c in zip(ds, counts)))
+    counts, _ = _mail_counts(ds, params, seed, range(replication, replication + 1))
+    return ElectionDataset(tuple(replace(d, mail_c1=c) for d, c in zip(ds, counts[0].tolist())))
 
 
 class ReplicationOutcome(NamedTuple):
     """Result of one simulated pipeline pass."""
 
-    t_stat: float | None  # None when the accepted-side fit failed
+    t_stat: float | None  # None when the accepted-side fit failed or pred_sd is 0
     red_mail_c1: int
     n_clamped: int
+
+
+def _replications(
+    ds: ElectionDataset,
+    params: ModelParameters,
+    seed: int,
+    replications: range,
+    include_dubious: bool,
+    fit: RegressionFit | None,
+) -> list[ReplicationOutcome]:
+    """Outcomes of ``replications``, simulated BLOCK_ROWS at a time.
+
+    ``fit`` is the through-origin fit of the observed accepted side (see the
+    module docstring), or None when the geometry admits no fit: every t is
+    then None.
+    """
+    contested = contested_statuses(include_dubious)
+    red = [i for i, d in enumerate(ds) if d.status in contested]
+    used = [i for i, d in enumerate(ds) if d.status not in contested and d.mail_total > 0]
+    ballot_c1 = [ds.districts[i].ballot_c1 for i in used]
+    mail_total = [ds.districts[i].mail_total for i in used]
+    ballot_c1_f, mail_total_f = np.array(ballot_c1, dtype=float), np.array(mail_total, dtype=float)
+    if fit is not None:
+        totals = aggregate_red(ds.districts[i] for i in red)
+        if totals.ballot_c1 == 0 and totals.mail_total == 0:
+            raise AuditError(
+                "contested districts have neither candidate-1 ballot votes nor mail votes: "
+                "the prediction sd is 0 in every replication"
+            )
+    outcomes: list[ReplicationOutcome] = []
+    for start in range(replications.start, replications.stop, BLOCK_ROWS):
+        block = range(start, min(start + BLOCK_ROWS, replications.stop))
+        counts, n_clamped = _mail_counts(ds, params, seed, block)
+        realized = [sum(row) for row in counts[:, red].tolist()]
+        if fit is None:
+            t_stats = [None] * len(block)
+        else:
+            mail_c1 = counts[:, used]
+            # int * int / int is correctly rounded at any size, like the fit's own terms
+            s_xy = [math.fsum(map(truediv, map(mul, ballot_c1, row), mail_total))
+                    for row in mail_c1.tolist()]
+            slope = np.array(s_xy) / fit.s_xx
+            residuals = mail_c1 - slope[:, None] * ballot_c1_f
+            wrss = [math.fsum(row) for row in (residuals * residuals / mail_total_f).tolist()]
+            t_stats = []
+            for slope_r, wrss_r, realized_r in zip(slope.tolist(), wrss, realized):
+                sigma2 = wrss_r / fit.dof
+                _, pred_sd, t = _standardize(slope_r, sigma2, fit.s_xx, totals, realized_r)
+                t_stats.append(t if pred_sd > 0.0 else None)
+        outcomes += map(ReplicationOutcome, t_stats, realized, n_clamped.tolist())
+    return outcomes
 
 
 def replicate_once(
@@ -103,19 +172,14 @@ def replicate_once(
     the model the statistic should follow the t distribution used by the
     reversal probability.
     """
-    counts, n_clamped = _simulate_mail_counts(ds, params, seed, replication)
-    contested = contested_statuses(include_dubious)
-    green = [replace(d, mail_c1=int(c)) for d, c in zip(ds, counts) if d.status not in contested]
-    red = [d for d in ds if d.status in contested]
-    realized = sum(int(c) for d, c in zip(ds, counts) if d.status in contested)
+    green, _ = partition(ds, include_dubious_as_red=include_dubious)
     try:
         fit = fit_through_origin(green)
     except (InsufficientDataError, RankDeficiencyError):
-        return ReplicationOutcome(None, realized, n_clamped)
-    if fit.sigma2 <= 0.0:
-        return ReplicationOutcome(None, realized, n_clamped)
-    _, _, t = _standardize(fit, aggregate_red(red), realized)
-    return ReplicationOutcome(t, realized, n_clamped)
+        fit = None
+    rows = range(replication, replication + 1)
+    (outcome,) = _replications(ds, params, seed, rows, include_dubious, fit)
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -163,37 +227,32 @@ def calibrate(
     """
     if replications < 100:
         raise AuditError(f"need at least 100 replications, got {replications}")
+    if not 0 <= seed < 2**128:
+        raise AuditError(f"seed must be in [0, 2**128), got {seed}")
     green, red = partition(ds, include_dubious_as_red=include_dubious)
     if not red:
         raise AuditError("dataset has no contested districts to calibrate against")
-    dof = fit_through_origin(green).dof
-    t_stats: list[float] = []
-    total_clamped = 0
-    failed = 0
+    fit = fit_through_origin(green)
+    outcomes = _replications(ds, params, seed, range(replications), include_dubious, fit)
+    t_stats = [o.t_stat for o in outcomes if o.t_stat is not None]
     realized_total = 0.0
-    for r in range(replications):
-        outcome = replicate_once(ds, params, seed, r, include_dubious=include_dubious)
-        total_clamped += outcome.n_clamped
-        realized_total += outcome.red_mail_c1
-        if outcome.t_stat is None:
-            failed += 1
-        else:
-            t_stats.append(outcome.t_stat)
+    for o in outcomes:
+        realized_total += o.red_mail_c1
     ordered = np.sort(np.array(t_stats, dtype=float))
-    ks = _ks_distance(ordered, dof) if len(ordered) else math.nan
+    ks = _ks_distance(ordered, fit.dof) if len(ordered) else math.nan
     quantile_errors = {}
     for p in PROBE_QUANTILES:
         empirical = float(np.quantile(ordered, p)) if len(ordered) else math.nan
-        quantile_errors[p] = abs(empirical - student_t_quantile(p, dof))
+        quantile_errors[p] = abs(empirical - student_t_quantile(p, fit.dof))
     return CalibrationReport(
         replications=replications,
         t_stats=tuple(t_stats),
         ks_distance=ks,
         quantile_errors=quantile_errors,
         seed=seed,
-        dof=dof,
-        failed_replications=failed,
-        clamped_fraction=total_clamped / (replications * len(ds.districts)),
+        dof=fit.dof,
+        failed_replications=replications - len(t_stats),
+        clamped_fraction=sum(o.n_clamped for o in outcomes) / (replications * len(ds.districts)),
         mean_red_mail_c1=realized_total / replications,
         expected_red_mail_c1=params.k * aggregate_red(red).ballot_c1,
     )

@@ -61,18 +61,25 @@ class PredictionInterval:
 
 
 def _standardize(
-    fit: RegressionFit, totals: RedTotals, value: float
+    slope: float, sigma2: float, s_xx: float, totals: RedTotals, value: float
 ) -> tuple[float, float, float]:
     """(prediction, pred_sd, t) for the contested aggregate and an observed ``value``.
 
-    The Monte Carlo calibration standardizes its simulated aggregates here
-    too, so it tests exactly the statistic the analysis reports.  Needs
-    sigma2 > 0.
+    ``slope``, ``sigma2`` and ``s_xx`` come from the accepted-side fit.  The
+    Monte Carlo calibration standardizes its simulated aggregates here too,
+    so it tests exactly the statistic the analysis reports.  A zero pred_sd
+    (sigma2 == 0, or contested districts with neither candidate-1 ballot
+    votes nor mail votes) cannot be standardized; t is then the sign of the
+    shortfall as an infinity, or 0 when there is none.
     """
     ballot_c1, mail_total = totals.ballot_c1, totals.mail_total
-    prediction = fit.slope * ballot_c1
-    pred_sd = math.sqrt(fit.sigma2 * (ballot_c1 * ballot_c1 / fit.s_xx + mail_total))
-    return prediction, pred_sd, (value - prediction) / pred_sd
+    prediction = slope * ballot_c1
+    pred_sd = math.sqrt(sigma2 * (ballot_c1 * ballot_c1 / s_xx + mail_total))
+    if pred_sd == 0.0:
+        t = math.copysign(math.inf, value - prediction) if value != prediction else 0.0
+    else:
+        t = (value - prediction) / pred_sd
+    return prediction, pred_sd, t
 
 
 def reversal_probability(
@@ -83,29 +90,18 @@ def reversal_probability(
 ) -> ReversalReport:
     """Probability that the true contested mail vote reaches ``threshold``.
 
-    A zero noise estimate cannot be standardized; the report is then flagged
+    A zero prediction sd cannot be standardized; the report is then flagged
     degenerate with p forced to 0 or 1 by the sign of the shortfall instead
     of silently pretending certainty was computed.
     """
     totals = aggregate_red(red)
-    if fit.sigma2 <= 0.0:
-        prediction = fit.slope * totals.ballot_c1
+    prediction, pred_sd, t_stat = _standardize(fit.slope, fit.sigma2, fit.s_xx, totals, threshold)
+    degenerate = pred_sd == 0.0
+    if degenerate:
         p = 1.0 if threshold <= prediction else 0.0
         tail = TailProbability(p, 0.0 if p == 1.0 else -math.inf)
-        return ReversalReport(
-            red_ballot_c1=totals.ballot_c1,
-            red_mail_total=totals.mail_total,
-            red_mail_c1=totals.mail_c1,
-            threshold=threshold,
-            prediction=prediction,
-            pred_sd=0.0,
-            t_stat=math.copysign(math.inf, threshold - prediction) if threshold != prediction else 0.0,
-            dof=fit.dof,
-            p_reversal=tail,
-            variant=variant,
-            degenerate=True,
-        )
-    prediction, pred_sd, t_stat = _standardize(fit, totals, threshold)
+    else:
+        tail = student_t_sf(t_stat, fit.dof)
     return ReversalReport(
         red_ballot_c1=totals.ballot_c1,
         red_mail_total=totals.mail_total,
@@ -115,8 +111,9 @@ def reversal_probability(
         pred_sd=pred_sd,
         t_stat=t_stat,
         dof=fit.dof,
-        p_reversal=student_t_sf(t_stat, fit.dof),
+        p_reversal=tail,
         variant=variant,
+        degenerate=degenerate,
     )
 
 
@@ -128,7 +125,7 @@ def prediction_interval(
         raise AuditError(f"interval level must be in (0, 1), got {level!r}")
     if fit.sigma2 <= 0.0:
         raise AuditError("degenerate fit (sigma2 == 0) has no prediction interval")
-    prediction, pred_sd, _ = _standardize(fit, aggregate_red(red), 0.0)
+    prediction, pred_sd, _ = _standardize(fit.slope, fit.sigma2, fit.s_xx, aggregate_red(red), 0.0)
     halfwidth = student_t_quantile(0.5 * (1.0 + level), fit.dof) * pred_sd
     return PredictionInterval(
         level=level,

@@ -1,0 +1,103 @@
+"""Scalar Monte Carlo replication, the reference for the block kernel.
+
+One replication at a time: draw every district's noise from the
+replication's own Philox stream, rebuild the districts with the simulated
+mail_c1, refit the accepted side with ``fit_through_origin`` and standardize
+the realized contested aggregate with ``prediction._standardize``.
+``mvaudit.montecarlo`` computes the same statistics for a block of
+replications at once; ``tests/test_montecarlo.py`` requires the two to agree
+bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import NamedTuple
+
+import numpy as np
+
+from mvaudit.data import ElectionDataset, aggregate_red, contested_statuses
+from mvaudit.montecarlo import ModelParameters, ReplicationOutcome
+from mvaudit.prediction import _standardize
+from mvaudit.wls import InsufficientDataError, RankDeficiencyError, fit_through_origin
+
+
+def standard_normals(seed: int, replication: int, n: int) -> np.ndarray:
+    """n standard normals; draw i is a fixed function of (seed, replication, i)."""
+    bitgen = np.random.Philox(key=int(seed), counter=[0, 0, 0, int(replication)])
+    u = np.random.Generator(bitgen).random(2 * n)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    return radius * np.cos(2.0 * np.pi * u[1::2])
+
+
+def simulate_mail_counts(
+    ds: ElectionDataset, params: ModelParameters, seed: int, replication: int
+) -> tuple[np.ndarray, int]:
+    """Simulated mail_c1 counts for every district, plus how many clamped."""
+    ballot_c1 = np.array([d.ballot_c1 for d in ds], dtype=float)
+    mail_total = np.array([d.mail_total for d in ds], dtype=float)
+    z = standard_normals(seed, replication, len(ds.districts))
+    raw = np.rint(params.k * ballot_c1 + z * params.sigma * np.sqrt(mail_total))
+    clamped = np.clip(raw, 0.0, mail_total)
+    n_clamped = int(np.sum(clamped != raw))
+    return clamped.astype(int), n_clamped
+
+
+def replicate_once(
+    ds: ElectionDataset,
+    params: ModelParameters,
+    seed: int,
+    replication: int,
+    include_dubious: bool = False,
+) -> ReplicationOutcome:
+    """Simulate, rebuild every district, refit the accepted side, standardize."""
+    counts, n_clamped = simulate_mail_counts(ds, params, seed, replication)
+    contested = contested_statuses(include_dubious)
+    green = [replace(d, mail_c1=int(c)) for d, c in zip(ds, counts) if d.status not in contested]
+    red = [d for d in ds if d.status in contested]
+    realized = sum(int(c) for d, c in zip(ds, counts) if d.status in contested)
+    try:
+        fit = fit_through_origin(green)
+    except (InsufficientDataError, RankDeficiencyError):
+        return ReplicationOutcome(None, realized, n_clamped)
+    if fit.sigma2 <= 0.0:
+        return ReplicationOutcome(None, realized, n_clamped)
+    _, _, t = _standardize(fit.slope, fit.sigma2, fit.s_xx, aggregate_red(red), realized)
+    return ReplicationOutcome(t, realized, n_clamped)
+
+
+class OracleCalibration(NamedTuple):
+    """The fields of ``CalibrationReport`` that the replications determine."""
+
+    t_stats: tuple[float, ...]
+    failed_replications: int
+    clamped_fraction: float
+    mean_red_mail_c1: float
+
+
+def calibrate(
+    ds: ElectionDataset,
+    params: ModelParameters,
+    replications: int,
+    seed: int,
+    include_dubious: bool = False,
+) -> OracleCalibration:
+    """Replications 0 .. replications-1 in order, tallied as ``calibrate`` does."""
+    t_stats: list[float] = []
+    total_clamped = 0
+    failed = 0
+    realized_total = 0.0
+    for r in range(replications):
+        outcome = replicate_once(ds, params, seed, r, include_dubious=include_dubious)
+        total_clamped += outcome.n_clamped
+        realized_total += outcome.red_mail_c1
+        if outcome.t_stat is None:
+            failed += 1
+        else:
+            t_stats.append(outcome.t_stat)
+    return OracleCalibration(
+        t_stats=tuple(t_stats),
+        failed_replications=failed,
+        clamped_fraction=total_clamped / (replications * len(ds.districts)),
+        mean_red_mail_c1=realized_total / replications,
+    )

@@ -33,6 +33,22 @@ def bad_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def zero_contested_csv(tmp_path):
+    # the contested district has no candidate-1 ballot votes and no mail
+    # votes, so the prediction sd is 0 although the noise estimate is not
+    path = tmp_path / "zero_contested.csv"
+    path.write_text(
+        "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+        "1,A,1000,400,200,90,green\n"
+        "2,B,1200,500,300,140,green\n"
+        "3,C,900,300,250,70,green\n"
+        "4,D,100,0,0,0,red\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 class TestAnalyze:
     def test_json_headline(self, capsys, fixture_arg):
         code, out, _ = run(capsys, "analyze", fixture_arg, "--json")
@@ -92,6 +108,16 @@ class TestAnalyze:
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
         assert code == 1
+
+
+    def test_zero_prediction_sd_is_flagged_degenerate(self, capsys, zero_contested_csv):
+        code, out, _ = run(capsys, "analyze", zero_contested_csv, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sigma2"] > 0.0
+        assert payload["degenerate"] is True
+        assert payload["pred_sd"] == 0.0
+        assert payload["p_reversal"] == 0.0
 
 
 class TestScenario:
@@ -196,6 +222,22 @@ class TestCalibrate:
         assert code == 1
         error = json.loads(out)["error"]
         assert error["type"] == "data" and "at least 2 districts" in error["message"]
+
+
+    def test_zero_prediction_sd_exits_one(self, capsys, zero_contested_csv):
+        args = ("calibrate", zero_contested_csv, "--reps", "100")
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert "prediction sd is 0" in err
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 1
+        assert "prediction sd is 0" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed_exits_one(self, capsys, fixture_arg, seed):
+        code, out, err = run(capsys, "calibrate", fixture_arg, "--reps", "100", "--seed", seed)
+        assert code == 1 and out == ""
+        assert "seed must be in [0, 2**128)" in err
 
 
 class TestValidate:

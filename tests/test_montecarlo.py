@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvaudit.data import DistrictRecord, ElectionDataset, aggregate_red, partition
 from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
+    BLOCK_ROWS,
     ModelParameters,
-    _simulate_mail_counts,
+    _mail_counts,
     _standard_normals,
     calibrate,
     replicate_once,
@@ -20,6 +21,7 @@ from mvaudit.montecarlo import (
 )
 from mvaudit.prediction import analyze_dataset, reversal_probability
 from mvaudit.wls import fit_through_origin
+from tests import mc_oracle
 from tests.conftest import make_random_dataset
 
 # slope chosen so model means sit mid-range of the mail totals
@@ -77,14 +79,13 @@ class TestSimulateElection:
         # district i's noise depends only on (seed, replication, i): a prefix
         # of the stream reproduces it, so per-district parallel generation
         # matches serial generation
-        full = _standard_normals(seed=7, replication=3, n=40)
+        full = _standard_normals(seed=7, replications=range(3, 4), n=40)[0]
         for i in (0, 1, 17, 39):
-            prefix = _standard_normals(seed=7, replication=3, n=i + 1)
+            prefix = _standard_normals(seed=7, replications=range(3, 4), n=i + 1)[0]
             assert prefix[i] == full[i]
 
     def test_replications_are_distinct_streams(self):
-        a = _standard_normals(seed=7, replication=0, n=20)
-        b = _standard_normals(seed=7, replication=1, n=20)
+        a, b = _standard_normals(seed=7, replications=range(2), n=20)
         assert not np.allclose(a, b)
 
     def test_simulated_variance_tracks_model(self, dataset):
@@ -92,9 +93,7 @@ class TestSimulateElection:
         # districts the sample variance of mail_c1 approaches sigma^2 * m
         params = ModelParameters(k=0.18, sigma=7.0)
         n_reps = 10_000
-        counts = np.empty((n_reps, len(dataset.districts)))
-        for r in range(n_reps):
-            counts[r], _ = _simulate_mail_counts(dataset, params, seed=11, replication=r)
+        counts, _ = _mail_counts(dataset, params, seed=11, replications=range(n_reps))
         mail_totals = np.array([d.mail_total for d in dataset])
         largest = np.argsort(mail_totals)[-5:]
         for i in largest:
@@ -193,3 +192,74 @@ class TestAnalysisPathAgreement:
 
         calibrated = calibrate(ds, params, replications=100, seed=seed, include_dubious=include_dubious)
         assert calibrated.dof == analyze_dataset(ds, include_dubious=include_dubious).fit.dof
+
+
+def noise_free_template():
+    # the two fitted accepted districts lie exactly on the model line, so
+    # every replication fits with sigma2 == 0 and fails
+    return ElectionDataset(
+        (
+            DistrictRecord("g1", "G1", 1000, 500, 400, 0, "green"),
+            DistrictRecord("g2", "G2", 1000, 250, 400, 0, "green"),
+            DistrictRecord("g3", "G3", 1000, 300, 0, 0, "green"),
+            DistrictRecord("d1", "D1", 1000, 100, 300, 0, "dubious"),
+            DistrictRecord("r1", "R1", 1000, 400, 400, 0, "red"),
+        )
+    )
+
+
+class TestScalarOracleAgreement:
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**128 - 1),
+        replications=st.integers(BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 60).filter(
+            lambda r: r % BLOCK_ROWS != 0
+        ),
+        include_dubious=st.booleans(),
+        case=st.sampled_from(("random", "big", "noise_free")),
+    )
+    @example(data_seed=1, seed=2**128 - 1, replications=BLOCK_ROWS + 1, include_dubious=False,
+             case="random")
+    @example(data_seed=2, seed=7, replications=2 * BLOCK_ROWS + 3, include_dubious=True,
+             case="big")
+    @example(data_seed=3, seed=0, replications=BLOCK_ROWS + 50, include_dubious=True,
+             case="noise_free")
+    @settings(max_examples=25)
+    def test_calibrate_matches_scalar_replication(
+        self, data_seed, seed, replications, include_dubious, case
+    ):
+        # the block kernel must reproduce the one-replication-at-a-time path
+        # bit for bit, whatever block a replication falls in
+        rng = np.random.default_rng(data_seed)
+        if case == "noise_free":
+            ds, params = noise_free_template(), ModelParameters(k=0.5, sigma=1e-9)
+        else:
+            ds = make_random_dataset(
+                rng,
+                n_green=int(rng.integers(3, 15)),
+                n_red=int(rng.integers(1, 5)),
+                n_dubious=int(rng.integers(0, 3)),
+            )
+            districts = list(ds.districts)
+            # a green district without mail votes is left out of every fit
+            districts[0] = replace(districts[0], mail_total=0, mail_c1=0)
+            if case == "big":
+                # ballot_c1 * mail_c1 / mail_total terms beyond 2**53
+                big_ballot, big_mail = 3_000_000_019, 700_000_003
+                districts[1] = replace(
+                    districts[1], ballot_total=big_ballot, ballot_c1=big_ballot,
+                    mail_total=big_mail, mail_c1=0,
+                )
+            ds = ElectionDataset(districts)
+            params = ModelParameters(
+                k=float(rng.uniform(0.02, 0.5)), sigma=float(rng.uniform(0.5, 10.0))
+            )
+
+        report = calibrate(ds, params, replications, seed, include_dubious=include_dubious)
+        oracle = mc_oracle.calibrate(ds, params, replications, seed, include_dubious)
+        assert [t.hex() for t in report.t_stats] == [t.hex() for t in oracle.t_stats]
+        assert report.failed_replications == oracle.failed_replications
+        assert report.clamped_fraction.hex() == oracle.clamped_fraction.hex()
+        assert report.mean_red_mail_c1.hex() == oracle.mean_red_mail_c1.hex()
+        if case == "noise_free":
+            assert report.failed_replications == replications
