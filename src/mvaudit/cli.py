@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -316,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "plot" and not args.out:
         parser.error("plot requires --out")
+    # numpy loads on first use; no BLAS call pays for a worker thread per CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except (AuditError, OSError) as exc:

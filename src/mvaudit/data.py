@@ -205,8 +205,14 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
 
 
 def load_dataset(path: str | Path) -> ElectionDataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_dataset(fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return parse_dataset(fh)
+    except UnicodeDecodeError:  # its offsets count from the decoder's chunk, not the file
+        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    bad = re.search("[\udc80-\udcff]", text)
+    byte = ord(bad.group()) - 0xDC00
+    raise ParseError(text.count("\n", 0, bad.start()) + 1, f"invalid UTF-8 byte {byte:#04x}")
 
 
 def serialize_dataset(ds: ElectionDataset) -> str:

@@ -14,7 +14,8 @@ s_xy and the weighted residual sum of squares, from the terms
 at any size) and ``math.fsum`` for both sums (correctly rounded whatever the
 grouping).  The realized contested aggregate is an exact integer sum.  So a
 replication gives the same bits alone (``replicate_once``), in any block and
-in any order; the block size only bounds peak memory.
+in any order; the block size only bounds peak memory.  numpy is imported on
+first use, inside the array functions, so importing the package skips it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass, replace
 from operator import mul, truediv
 from typing import NamedTuple
-
-import numpy as np
 
 from .data import ElectionDataset, aggregate_red, contested_statuses, partition
 from .errors import AuditError
@@ -67,6 +66,7 @@ def _standard_normals(seed: int, replications: range, n: int) -> np.ndarray:
 
     Entry [j, i] is a fixed function of (seed, replications[j], i).
     """
+    import numpy as np
     u = np.empty((len(replications), 2 * n))
     for row, r in zip(u, replications):
         bitgen = np.random.Philox(key=int(seed), counter=[0, 0, 0, r])
@@ -79,6 +79,7 @@ def _mail_counts(
     ds: ElectionDataset, params: ModelParameters, seed: int, replications: range
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated mail_c1 counts, one row per replication, and the clamps per row."""
+    import numpy as np
     ballot_c1 = np.array([d.ballot_c1 for d in ds], dtype=float)
     mail_total = np.array([d.mail_total for d in ds], dtype=float)
     z = _standard_normals(seed, replications, len(ds.districts))
@@ -122,6 +123,7 @@ def _replications(
     module docstring), or None when the geometry admits no fit: every t is
     then None.
     """
+    import numpy as np
     contested = contested_statuses(include_dubious)
     red = [i for i, d in enumerate(ds) if d.status in contested]
     used = [i for i, d in enumerate(ds) if d.status not in contested and d.mail_total > 0]
@@ -203,6 +205,7 @@ class CalibrationReport:
 
 
 def _ks_distance(sorted_values: np.ndarray, dof: int) -> float:
+    import numpy as np
     n = len(sorted_values)
     cdf = np.array([student_t_cdf(v, dof) for v in sorted_values])
     upper = np.arange(1, n + 1) / n - cdf
@@ -225,6 +228,7 @@ def calibrate(
     fit, plus probe-quantile errors.  That fit must succeed; failed fits of
     simulated elections are counted, not fatal.
     """
+    import numpy as np
     if replications < 100:
         raise AuditError(f"need at least 100 replications, got {replications}")
     if not 0 <= seed < 2**128:

@@ -11,7 +11,7 @@ in these coordinates.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .data import DistrictRecord, ElectionDataset, partition
 
@@ -75,7 +75,7 @@ def render_scatter(
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="28" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{escape(title)}</text>',
+        f'font-size="16">{escape(title, quote=False)}</text>',
     ]
     # frame, grid, ticks
     parts.append(
@@ -141,7 +141,7 @@ def render_scatter(
             parts.append(
                 f'<circle class="{cls}" cx="{_sx(xy[0]):.2f}" cy="{_sy(xy[1]):.2f}" '
                 f'r="4" fill="{color}" fill-opacity="0.75"{extra}>'
-                f"<title>{escape(d.name)}</title></circle>"
+                f"<title>{escape(d.name, quote=False)}</title></circle>"
             )
 
     # legend (rect swatches so data circles stay countable)
@@ -160,7 +160,7 @@ def render_scatter(
             )
         parts.append(
             f'<text x="{lx + 17}" y="{y}" font-family="sans-serif" font-size="12">'
-            f"{escape(label)}</text>"
+            f"{escape(label, quote=False)}</text>"
         )
     y = ly + 18 * len(entries)
     parts.append(

@@ -33,6 +33,20 @@ def bad_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=[1, 3])
+def non_utf8_csv(request, tmp_path):
+    # an otherwise valid file with two bytes that are not UTF-8 on one line
+    lines = [
+        b"district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status",
+        b"1,A,1000,400,200,90,green",
+        b"2,B,1200,500,300,140,red",
+    ]
+    lines[request.param - 1] = b"\xff\xfe" + lines[request.param - 1]
+    path = tmp_path / "non_utf8.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return str(path), request.param
+
+
 @pytest.fixture()
 def zero_contested_csv(tmp_path):
     # the contested district has no candidate-1 ballot votes and no mail
@@ -104,6 +118,12 @@ class TestAnalyze:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"]["type"] == "data"
+
+    def test_invalid_utf8_exits_one(self, capsys, non_utf8_csv):
+        path, line = non_utf8_csv
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 1 and out == ""
+        assert err == f"error: line {line}: invalid UTF-8 byte 0xff\n"
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
@@ -254,6 +274,14 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", fixture_arg)
         assert code == 0
         assert "dataset OK" in out
+
+    def test_invalid_utf8_json_error(self, capsys, non_utf8_csv):
+        path, line = non_utf8_csv
+        code, out, _ = run(capsys, "validate", path, "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"type": "data", "message": f"line {line}: invalid UTF-8 byte 0xff"}
+        }
 
 
 class TestUsage:

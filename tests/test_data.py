@@ -11,6 +11,7 @@ from mvaudit.data import (
     ParseError,
     ValidationError,
     aggregate_red,
+    load_dataset,
     parse_dataset,
     partition,
     reversal_threshold,
@@ -83,6 +84,18 @@ class TestParse:
     def test_quoted_name(self):
         ds = parse_dataset(csv_of('1,"Sankt Anna, am Berg",100,40,50,20,green'))
         assert ds.districts[0].name == "Sankt Anna, am Berg"
+
+    @pytest.mark.parametrize("rows, line", [(2, 1), (2, 3), (600, 500)])
+    def test_invalid_utf8_reports_line(self, tmp_path, rows, line):
+        # 600 rows put line 500 past the first chunk the text decoder reads
+        text = csv_of(*(f"{i},N{i},1000,400,200,80,green" for i in range(rows)))
+        raw = text.encode("utf-8").split(b"\n")
+        raw[line - 1] = b"\xff\xfe" + raw[line - 1]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ParseError, match="invalid UTF-8 byte 0xff") as exc:
+            load_dataset(path)
+        assert exc.value.line == line
 
     def test_round_trip_identity(self, dataset):
         again = parse_dataset(serialize_dataset(dataset))

@@ -1,8 +1,9 @@
 """SVG scatter output: element counts, classes, frame geometry."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape  # oracle for the text escaping
 
-from mvaudit.data import parse_dataset
+from mvaudit.data import DistrictRecord, ElectionDataset, parse_dataset
 from mvaudit.svgplot import render_scatter
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -68,3 +69,18 @@ class TestRenderScatter:
 
     def test_svg_declares_version_1_1(self, dataset):
         assert 'version="1.1"' in render_scatter(dataset)
+
+    def test_markup_characters_escaped_like_saxutils(self):
+        name, title = """Gross & <Klein> "Ober" 'Unter'""", """Shares & <odds> "a" 'b'"""
+        ds = ElectionDataset(
+            (
+                DistrictRecord("1", name, 1000, 400, 200, 80, "green"),
+                DistrictRecord("2", "B", 1000, 500, 200, 90, "red"),
+            )
+        )
+        svg = render_scatter(ds, title=title)
+        assert f"<title>{escape(name)}</title>" in svg
+        assert f">{escape(title)}</text>" in svg
+        root = ET.fromstring(svg)
+        assert [el.text for el in root.iter(f"{SVG_NS}title")] == [name, "B"]
+        assert title in [el.text for el in root.iter(f"{SVG_NS}text")]
