@@ -7,6 +7,12 @@ The CSV dialect is fixed: UTF-8, comma separated, header exactly
 with base-10 integer counts, status in {green, red, dubious}, LF or CRLF
 line endings.  "c1" is the candidate whose reversal chances are analyzed;
 "c2" is the official winner.
+
+A count is a string of ASCII digits 0-9 (surrounding blanks are stripped;
+no sign, underscore or other Unicode digit) of at most 4,300 digits, the
+longest Python converts to an int by default.  No field may exceed the csv
+module's field size limit (131,072 characters).  Anything else ends in a
+ParseError with the line it was found on.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, TextIO
 
@@ -41,7 +48,8 @@ __all__ = [
 STATUSES = ("green", "red", "dubious")
 HEADER = ("district_id", "name", "ballot_total", "ballot_c1", "mail_total", "mail_c1", "status")
 
-_INT_RE = re.compile(r"^[0-9]+$")
+_COUNT_COLUMNS = HEADER[2:6]
+_MAX_DIGITS = 4300
 
 
 class ParseError(AuditError):
@@ -72,8 +80,8 @@ class DistrictRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValidationError(f"unknown status token {self.status!r}")
-        for field in ("ballot_total", "ballot_c1", "mail_total", "mail_c1"):
-            v = getattr(self, field)
+        counts = (self.ballot_total, self.ballot_c1, self.mail_total, self.mail_c1)
+        for field, v in zip(_COUNT_COLUMNS, counts):
             if not isinstance(v, int) or v < 0:
                 raise ValidationError(f"{field} must be a nonnegative integer, got {v!r}")
         if self.ballot_c1 > self.ballot_total:
@@ -123,6 +131,8 @@ class ElectionDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "districts", tuple(self.districts))
+        if len({d.district_id for d in self.districts}) == len(self.districts):
+            return
         seen = set()
         for d in self.districts:
             if d.district_id in seen:
@@ -144,10 +154,10 @@ class ElectionDataset:
     def count_status(self, status: str) -> int:
         return sum(1 for d in self.districts if d.status == status)
 
-    @property
+    @cached_property
     def margin_official(self) -> int:
         """Candidate-2 total minus candidate-1 total over all districts."""
-        return sum(d.c2_votes for d in self.districts) - sum(d.c1_votes for d in self.districts)
+        return sum(d.ballot_total + d.mail_total - 2 * (d.ballot_c1 + d.mail_c1) for d in self)
 
 
 class RedTotals(NamedTuple):
@@ -158,49 +168,48 @@ class RedTotals(NamedTuple):
     mail_c1: int
 
 
-def _parse_int(value: str, column: str, line: int) -> int:
-    if not _INT_RE.match(value):
-        raise ParseError(line, f"bad integer in column {column}: {value!r}")
-    return int(value)
-
-
 def parse_dataset(source: str | TextIO) -> ElectionDataset:
     """Parse and validate a dataset from CSV text or a text stream."""
     if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "missing header") from None
-    if header and header[0].startswith("﻿"):
-        header = [header[0].lstrip("﻿"), *header[1:]]
-    if tuple(h.strip() for h in header) != HEADER:
-        raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
     districts: list[DistrictRecord] = []
     seen: set[str] = set()
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(HEADER):
-            raise ParseError(line, f"expected {len(HEADER)} columns, got {len(row)}")
-        district_id, name, *counts, status = (f.strip() for f in row)
-        if not district_id:
-            raise ParseError(line, "empty district_id")
-        if district_id in seen:
-            raise ParseError(line, f"duplicate district_id {district_id!r}")
-        seen.add(district_id)
-        ballot_total, ballot_c1, mail_total, mail_c1 = (
-            _parse_int(v, c, line) for v, c in zip(counts, HEADER[2:6])
-        )
-        try:
-            record = DistrictRecord(
-                district_id, name, ballot_total, ballot_c1, mail_total, mail_c1, status
-            )
-        except ValidationError as exc:
-            raise ParseError(line, str(exc)) from None
-        districts.append(record)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "missing header")
+        if header and header[0].startswith("﻿"):
+            header = [header[0].lstrip("﻿"), *header[1:]]
+        if tuple(h.strip() for h in header) != HEADER:
+            raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(HEADER):
+                reason = f"expected {len(HEADER)} columns, got {len(row)}"
+                raise ParseError(reader.line_num, reason)
+            district_id, name, *counts, status = map(str.strip, row)
+            if not district_id:
+                raise ParseError(reader.line_num, "empty district_id")
+            if district_id in seen:
+                raise ParseError(reader.line_num, f"duplicate district_id {district_id!r}")
+            seen.add(district_id)
+            for value in counts:
+                if not (value.isascii() and value.isdigit()) or len(value) > _MAX_DIGITS:
+                    # the first bad value: any equal one before it would have failed too
+                    column = _COUNT_COLUMNS[counts.index(value)]
+                    raise ParseError(reader.line_num, f"bad integer in column {column}: {value!r}")
+            ballot_total, ballot_c1, mail_total, mail_c1 = map(int, counts)
+            try:
+                record = DistrictRecord(
+                    district_id, name, ballot_total, ballot_c1, mail_total, mail_c1, status
+                )
+            except ValidationError as exc:
+                raise ParseError(reader.line_num, str(exc)) from None
+            districts.append(record)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), a bare CR in a field
+        raise ParseError(reader.line_num, str(exc)) from None
     return ElectionDataset(tuple(districts))
 
 

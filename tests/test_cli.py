@@ -47,6 +47,24 @@ def non_utf8_csv(request, tmp_path):
     return str(path), request.param
 
 
+@pytest.fixture(
+    params=[
+        ("1,A," + "9" * 5000 + ",400,200,80,green", "bad integer in column ballot_total: '9999"),
+        ("1," + "x" * 131_073 + ",1000,400,200,80,green", "field larger than field limit"),
+    ],
+    ids=["count_over_4300_digits", "field_over_size_limit"],
+)
+def oversized_csv(request, tmp_path):
+    # int() and the csv module each raise their own error for these
+    row, reason = request.param
+    path = tmp_path / "oversized.csv"
+    path.write_text(
+        "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n" + row + "\n",
+        encoding="utf-8",
+    )
+    return str(path), f"line 2: {reason}"
+
+
 @pytest.fixture()
 def zero_contested_csv(tmp_path):
     # the contested district has no candidate-1 ballot votes and no mail
@@ -124,6 +142,12 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", path)
         assert code == 1 and out == ""
         assert err == f"error: line {line}: invalid UTF-8 byte 0xff\n"
+
+    def test_oversized_input_exits_one(self, capsys, oversized_csv):
+        path, message = oversized_csv
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
@@ -282,6 +306,14 @@ class TestValidate:
         assert json.loads(out) == {
             "error": {"type": "data", "message": f"line {line}: invalid UTF-8 byte 0xff"}
         }
+
+
+    def test_oversized_input_json_error(self, capsys, oversized_csv):
+        path, message = oversized_csv
+        code, out, _ = run(capsys, "validate", path, "--json")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "data" and error["message"].startswith(message)
 
 
 class TestUsage:

@@ -1,11 +1,15 @@
 """Ingestion, validation, partitioning, and aggregation of district results."""
 
+import csv
+import io
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvaudit.data import (
     HEADER,
+    STATUSES,
     DistrictRecord,
     ElectionDataset,
     ParseError,
@@ -17,6 +21,7 @@ from mvaudit.data import (
     reversal_threshold,
     serialize_dataset,
 )
+from tests import csv_oracle
 
 HEADER_LINE = ",".join(HEADER)
 
@@ -80,6 +85,21 @@ class TestParse:
     def test_bom_tolerated(self):
         ds = parse_dataset("﻿" + csv_of("1,A,100,40,50,20,green"))
         assert len(ds) == 1
+
+    def test_count_over_4300_digits_rejected(self):
+        # int() refuses more digits than this with a ValueError
+        big = "9" * 5000
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(csv_of(f"1,A,{big},400,200,80,green"))
+        assert exc.value.line == 2
+        assert exc.value.reason == f"bad integer in column ballot_total: {big!r}"
+        assert len(parse_dataset(csv_of(f"1,A,{'0' * 4299}7,0,0,0,green"))) == 1
+
+    def test_field_over_size_limit_reports_line(self):
+        # csv.field_size_limit() defaults to 131,072 characters
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(csv_of("1,A,100,40,50,20,green", f"2,{'x' * 131_073},100,40,50,20,red"))
+        assert (exc.value.line, exc.value.reason) == (3, "field larger than field limit (131072)")
 
     def test_quoted_name(self):
         ds = parse_dataset(csv_of('1,"Sankt Anna, am Berg",100,40,50,20,green'))
@@ -160,6 +180,112 @@ class TestRoundTripProperty:
         text = serialize_dataset(ds)
         assert parse_dataset(text) == ds
         assert serialize_dataset(parse_dataset(text)) == text
+
+
+COUNT_CORRUPTIONS = ("١٠٠", "²", "+5", "5_0", " 7 ", "", "-1", "9" * 4301)
+
+
+@st.composite
+def csv_rows(draw):
+    """A valid row, or one with a single corrupted field or column count."""
+    ballot_total, mail_total = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    row = [
+        f"d{draw(st.integers(0, 30))}",
+        draw(st.sampled_from(["A", " Sankt Anna, am Berg ", 'Quote "Q"', ""])),
+        str(ballot_total),
+        str(draw(st.integers(0, ballot_total))),
+        str(mail_total),
+        str(draw(st.integers(0, mail_total))),
+        draw(st.sampled_from(STATUSES)),
+    ]
+    fault = draw(st.sampled_from(["none"] * 6 + ["count", "excess", "status", "columns"]))
+    column = draw(st.integers(2, 5))
+    if fault == "count":
+        row[column] = draw(st.sampled_from(COUNT_CORRUPTIONS))
+    elif fault == "excess":
+        total = draw(st.sampled_from([2, 4]))
+        row[total + 1] = str(int(row[total]) + 1)
+    elif fault == "status":
+        row[6] = draw(st.sampled_from(["purple", " red ", "Green", ""]))
+    elif fault == "columns":
+        row = row[:column] if draw(st.booleans()) else [*row, "extra"]
+    return row
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of such rows, with optional BOM, CRLF, blank lines, no final newline."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    if draw(st.booleans()):
+        out.write("\ufeff")
+    writer = csv.writer(out, lineterminator=newline)
+    writer.writerow(HEADER)
+    for row in draw(st.lists(csv_rows(), max_size=6)):
+        if draw(st.integers(0, 4)) == 0:
+            out.write(newline)
+        writer.writerow(row)
+    text = out.getvalue()
+    return text.removesuffix(newline) if draw(st.booleans()) else text
+
+
+# characters that end fields, lines and quotes or come close to being digits
+CSV_CHARS = ',"\r\n \x00\ufeff09a١²+-_'
+
+
+class TestParserOracle:
+    @given(csv_texts())
+    @settings(max_examples=300)
+    @example(csv_of("1,A,١٠٠,40,50,20,green"))
+    @example(csv_of("1,A,100,²,50,20,green"))
+    @example(csv_of("1,A,100,40,+5,20,green"))
+    @example(csv_of("1,A,100,40,50,5_0,green"))
+    @example(csv_of("1,A,100, 7 ,50,20,green"))
+    @example(csv_of("1,A,100,40,50,,green"))
+    @example(csv_of("1,A,100,40,-1,20,green"))
+    @example(csv_of("1,A,100,40,50,20,green", f"2,B,{'9' * 4301},40,50,20,red"))
+    @example(csv_of("1,A,100,40,50,+5,green", "2,B,100,+5,50,20,red"))
+    @example(csv_of("1,A,100,40,50,20"))
+    @example(csv_of("1,A,100,40,50,20,green,extra"))
+    @example(csv_of("1,A,100,40,50,20,green", "1,B,100,40,50,20,red"))
+    @example(csv_of("1,A,100,40,50,20,purple"))
+    @example(csv_of("1,A,100,140,50,20,green"))
+    @example(csv_of("1,A,100,40,50,60,green"))
+    @example(csv_of("1,A,100,40,50,20,green", "", "2,B,100,40,50,20,red", ""))
+    @example("\ufeff" + csv_of("1,A,100,40,50,20,red"))
+    @example(csv_of("1,A,100,40,50,20,green", "2,B,100,40,50,20,red").replace("\n", "\r\n"))
+    @example(csv_of('1,"Sankt Anna, am Berg",100,40,50,20,green', '2,"B, ""Q""",9,9,0,0,red'))
+    def test_parse_matches_oracle(self, text):
+        try:
+            expected = csv_oracle.parse(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_dataset(text)
+            assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
+            return
+        ds = parse_dataset(text)
+        assert [
+            (d.district_id, d.name, d.ballot_total, d.ballot_c1, d.mail_total, d.mail_c1, d.status)
+            for d in ds
+        ] == expected.rows
+        assert ds.margin_official == expected.margin_official
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet=CSV_CHARS).map(lambda tail: csv_of("1,A,9,4,5,2,red") + tail),
+        )
+    )
+    @settings(max_examples=300)
+    @example(csv_of(f"1,A,{'9' * 5000},40,50,20,green"))
+    @example(csv_of(f"1,{'x' * 131_073},100,40,50,20,green"))
+    @example(csv_of("1,A\rB,100,40,50,20,green"))
+    def test_parse_raises_only_parse_error(self, text):
+        try:
+            ds = parse_dataset(text)
+        except ParseError:
+            return
+        assert isinstance(ds, ElectionDataset)
 
 
 class TestPartition:
