@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .data import half_margin, load_dataset, partition, serialize_dataset
+from .data import contested_statuses, half_margin, load_dataset, serialize_dataset
 from .errors import AuditError
 from .montecarlo import ModelParameters, calibrate
 from .prediction import analyze_dataset, prediction_interval
@@ -48,7 +48,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fit, report = result.fit, result.report
     interval = None
     if args.level is not None:
-        _, red = partition(ds, include_dubious_as_red=args.include_dubious)
+        _, red = ds.split(args.include_dubious)
         interval = prediction_interval(fit, red, args.level)
     if args.json:
         payload = {
@@ -109,7 +109,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
-    _, red = partition(ds, include_dubious_as_red=args.include_dubious)
+    _, red = ds.split(args.include_dubious)
     votes = args.votes
     if votes is None:
         margin = ds.margin_official
@@ -155,7 +155,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
     title = "Mail vs ballot vote shares - official results"
     if args.votes is not None:
-        _, red = partition(ds, include_dubious_as_red=args.include_dubious)
+        _, red = ds.split(args.include_dubious)
         ds = build_reversal_scenario(ds, red, args.votes, base=args.base).modified
         title = "Mail vs ballot vote shares - modified results"
     svg = render_scatter(ds, include_dubious=args.include_dubious, title=title)
@@ -171,7 +171,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
     if args.k is None or args.sigma is None:
-        green, _ = partition(ds, include_dubious_as_red=args.include_dubious)
+        green, _ = ds.split(args.include_dubious)
         fit = fit_through_origin(green)
         k = args.k if args.k is not None else fit.slope
         sigma = args.sigma if args.sigma is not None else math.sqrt(fit.sigma2)
@@ -205,20 +205,19 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
-    green11, red11 = partition(ds, include_dubious_as_red=False)
-    green14, red14 = partition(ds, include_dubious_as_red=True)
+    red11, red14 = (sum(map(ds.count_status, contested_statuses(flag))) for flag in (False, True))
     payload = {
         "command": "validate",
         "districts": len(ds),
         "green": ds.count_status("green"),
         "red": ds.count_status("red"),
         "dubious": ds.count_status("dubious"),
-        "partition_default": [len(green11), len(red11)],
-        "partition_include_dubious": [len(green14), len(red14)],
+        "partition_default": [len(ds) - red11, red11],
+        "partition_include_dubious": [len(ds) - red14, red14],
         "margin_official": ds.margin_official,
-        "total_votes": sum(d.total_votes for d in ds),
-        "mail_votes": sum(d.mail_total for d in ds),
-        "zero_mail_districts": sum(1 for d in ds if d.mail_total == 0),
+        "total_votes": sum(ds.ballot_total) + sum(ds.mail_total),
+        "mail_votes": sum(ds.mail_total),
+        "zero_mail_districts": ds.mail_total.count(0),
     }
     if args.json:
         _print_json(payload)

@@ -10,9 +10,15 @@ line endings.  "c1" is the candidate whose reversal chances are analyzed;
 
 A count is a string of ASCII digits 0-9 (surrounding blanks are stripped;
 no sign, underscore or other Unicode digit) of at most 4,300 digits, the
-longest Python converts to an int by default.  No field may exceed the csv
-module's field size limit (131,072 characters).  Anything else ends in a
-ParseError with the line it was found on.
+longest Python converts to an int by default, and its value is below 2**63.
+No field may exceed the csv module's field size limit (131,072 characters).
+Anything else ends in a ParseError with the line it was found on (of
+several faults, the one on the earliest line).
+
+An ElectionDataset holds one tuple per CSV column, in file order, and is
+checked a whole column at a time.  Every command reads only the columns: a
+DistrictRecord per district is built when a dataset is iterated or its
+``districts`` are read, and not before.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, le, not_
 from pathlib import Path
 from typing import Iterable, NamedTuple, TextIO
 
@@ -34,6 +42,7 @@ __all__ = [
     "ValidationError",
     "DistrictRecord",
     "ElectionDataset",
+    "as_dataset",
     "RedTotals",
     "parse_dataset",
     "load_dataset",
@@ -50,6 +59,13 @@ HEADER = ("district_id", "name", "ballot_total", "ballot_c1", "mail_total", "mai
 
 _COUNT_COLUMNS = HEADER[2:6]
 _MAX_DIGITS = 4300
+_COUNT_BOUND = 2**63
+_STATUS_SET = frozenset(STATUSES)
+_FIELDS = attrgetter(*HEADER)  # a record's fields, or a dataset's columns
+# Rows flattened at a time.  Fewer row lists are then alive at once than it takes
+# to start the cyclic garbage collector (700); holding all 100,000 rows of a
+# precinct file made it walk them for 60-90 ms.
+_BLOCK_ROWS = 256
 
 
 class ParseError(AuditError):
@@ -62,7 +78,51 @@ class ParseError(AuditError):
 
 
 class ValidationError(AuditError):
-    """A dataset or record violates its invariants."""
+    """A dataset or record violates its invariants, first at ``row`` when known."""
+
+    def __init__(self, reason: str, row: int | None = None):
+        self.row = row
+        super().__init__(reason)
+
+
+def _fault(columns: tuple[tuple, ...]) -> str | None:
+    """The first rule the columns break, or None; its message names the last row's value.
+
+    The rules, in order: ids neither empty nor repeated, counts (ints in
+    [0, 2**63)) in column order, known statuses, candidate-1 votes within
+    their totals.  ``_check`` calls this on the shortest prefix that breaks
+    a rule, whose last row is then the one at fault.
+    """
+    ids, _, *counts, statuses = columns
+    if not all(ids):
+        return "empty district_id"
+    if len(set(ids)) < len(ids):
+        return f"duplicate district_id {ids[-1]!r}"
+    for column, values in zip(_COUNT_COLUMNS, counts):
+        ints = all(map(isinstance, values, repeat(int)))
+        if not (ints and 0 <= min(values, default=0) and max(values, default=0) < _COUNT_BOUND):
+            return f"bad integer in column {column}: {values[-1]!r}"
+    if not _STATUS_SET.issuperset(statuses):
+        return f"unknown status token {statuses[-1]!r}"
+    ballot_total, ballot_c1, mail_total, mail_c1 = counts
+    for kind, c1, total in ("ballot", ballot_c1, ballot_total), ("mail", mail_c1, mail_total):
+        if not all(map(le, c1, total)):
+            return f"{kind} votes for candidate exceed {kind} total"
+    return None
+
+
+def _check(columns: tuple[tuple, ...]) -> None:
+    """Raise a ValidationError, with its row, for the first row that breaks a rule."""
+    if _fault(columns) is None:
+        return
+    good, bad = 0, len(columns[0])  # the first `good` rows break no rule, the first `bad` do
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if _fault(tuple(c[:middle] for c in columns)) is None:
+            good = middle
+        else:
+            bad = middle
+    raise ValidationError(_fault(tuple(c[:bad] for c in columns)), bad - 1)
 
 
 @dataclass(frozen=True)
@@ -78,16 +138,7 @@ class DistrictRecord:
     status: str
 
     def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValidationError(f"unknown status token {self.status!r}")
-        counts = (self.ballot_total, self.ballot_c1, self.mail_total, self.mail_c1)
-        for field, v in zip(_COUNT_COLUMNS, counts):
-            if not isinstance(v, int) or v < 0:
-                raise ValidationError(f"{field} must be a nonnegative integer, got {v!r}")
-        if self.ballot_c1 > self.ballot_total:
-            raise ValidationError("ballot votes for candidate exceed ballot total")
-        if self.mail_c1 > self.mail_total:
-            raise ValidationError("mail votes for candidate exceed mail total")
+        _check(tuple(zip(_FIELDS(self))))  # the dataset rules, on a one-row dataset
 
     @property
     def ballot_c2(self) -> int:
@@ -123,41 +174,79 @@ class DistrictRecord:
         return self.mail_c1 / self.mail_total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ElectionDataset:
-    """Immutable, validated collection of districts in file order."""
+    """Immutable, validated districts in file order, one tuple per CSV column.
 
-    districts: tuple[DistrictRecord, ...]
+    ``ElectionDataset(records)`` transposes DistrictRecords into the columns;
+    ``districts`` (and iteration) builds them back on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "districts", tuple(self.districts))
-        if len({d.district_id for d in self.districts}) == len(self.districts):
-            return
-        seen = set()
-        for d in self.districts:
-            if d.district_id in seen:
-                raise ValidationError(f"duplicate district_id {d.district_id!r}")
-            seen.add(d.district_id)
+    district_id: tuple[str, ...]
+    name: tuple[str, ...]
+    ballot_total: tuple[int, ...]
+    ballot_c1: tuple[int, ...]
+    mail_total: tuple[int, ...]
+    mail_c1: tuple[int, ...]
+    status: tuple[str, ...]
+
+    def __init__(self, districts: Iterable[DistrictRecord] = ()):
+        districts = tuple(districts)
+        columns = tuple(zip(*map(_FIELDS, districts))) or ((),) * len(HEADER)
+        _check(columns)
+        self.__dict__.update(zip(HEADER, columns), districts=districts)
+
+    @classmethod
+    def _of(cls, columns: tuple[tuple, ...]) -> ElectionDataset:
+        """A dataset of columns that have been checked already."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(zip(HEADER, columns))
+        return ds
 
     def __len__(self) -> int:
-        return len(self.districts)
+        return len(self.district_id)
 
     def __iter__(self):
         return iter(self.districts)
 
-    def get(self, district_id: str) -> DistrictRecord:
-        for d in self.districts:
-            if d.district_id == district_id:
-                return d
-        raise KeyError(district_id)
+    @cached_property
+    def districts(self) -> tuple[DistrictRecord, ...]:
+        return tuple(map(DistrictRecord, *_FIELDS(self)))
 
     def count_status(self, status: str) -> int:
-        return sum(1 for d in self.districts if d.status == status)
+        return self.status.count(status)
 
     @cached_property
     def margin_official(self) -> int:
         """Candidate-2 total minus candidate-1 total over all districts."""
-        return sum(d.ballot_total + d.mail_total - 2 * (d.ballot_c1 + d.mail_c1) for d in self)
+        c1 = sum(self.ballot_c1) + sum(self.mail_c1)
+        return sum(self.ballot_total) + sum(self.mail_total) - 2 * c1
+
+    def split(
+        self, include_dubious_as_red: bool = False
+    ) -> tuple[ElectionDataset, ElectionDataset]:
+        """The (accepted, contested) districts, each a dataset in file order.
+
+        Dubious districts are accepted ("green") unless ``include_dubious_as_red``.
+        """
+        contested = contested_statuses(include_dubious_as_red)
+        red = list(map(contested.__contains__, self.status))
+        return self._rows(list(map(not_, red))), self._rows(red)
+
+    def _rows(self, selected: list[bool]) -> ElectionDataset:
+        # rows of a checked dataset need no second check
+        return ElectionDataset._of(tuple(tuple(compress(c, selected)) for c in _FIELDS(self)))
+
+    def with_mail_c1(self, mail_c1: Iterable[int]) -> ElectionDataset:
+        """This dataset with its mail_c1 column replaced, checked like any other."""
+        columns = (*_FIELDS(self)[:5], tuple(mail_c1), self.status)
+        _check(columns)
+        return ElectionDataset._of(columns)
+
+
+def as_dataset(districts: ElectionDataset | Iterable[DistrictRecord]) -> ElectionDataset:
+    """A dataset as it is; DistrictRecords transposed into a new one."""
+    return districts if isinstance(districts, ElectionDataset) else ElectionDataset(districts)
 
 
 class RedTotals(NamedTuple):
@@ -168,49 +257,71 @@ class RedTotals(NamedTuple):
     mail_c1: int
 
 
+def _read_counts(texts: tuple[str, ...]) -> tuple:
+    """The fields as ints where they spell counts; the others stay text for ``_check``."""
+    digits = "".join(texts)
+    if all(texts) and (digits.isascii() and digits.isdigit() or not digits):
+        if max(map(len, texts), default=0) <= _MAX_DIGITS:
+            counts = tuple(map(int, texts))
+            if max(counts, default=0) < _COUNT_BOUND:
+                return counts
+    return texts if len(texts) == 1 else tuple(chain.from_iterable(map(_read_counts, zip(texts))))
+
+
+def _line_of(text: str, row: int) -> int:
+    """The line on which data row ``row`` (0-based, blank rows skipped) ends."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for _ in islice(filter(None, reader), row + 1):
+        pass
+    return reader.line_num
+
+
 def parse_dataset(source: str | TextIO) -> ElectionDataset:
-    """Parse and validate a dataset from CSV text or a text stream."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    districts: list[DistrictRecord] = []
-    seen: set[str] = set()
+    """Parse and validate a dataset from CSV text or a text stream.
+
+    Rows are read up to the first one that the csv module or the column count
+    rejects; a fault in the rows before it is reported first.
+    """
+    text = source if isinstance(source, str) else source.read()
+    reader = csv.reader(io.StringIO(text))
+    error = None
+
+    def every_row():
+        nonlocal error
+        try:
+            yield from reader
+        except csv.Error as exc:  # a field over csv.field_size_limit(), a bare CR in a field
+            error = ParseError(reader.line_num, str(exc))
+
+    read = every_row()
+    header = next(read, None)
+    if header is None:
+        raise error or ParseError(1, "missing header")
+    if header and header[0].startswith("\ufeff"):
+        header = [header[0].lstrip("\ufeff"), *header[1:]]
+    if tuple(h.strip() for h in header) != HEADER:
+        raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
+    rows, fields = filter(None, read), []
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        if not {len(HEADER)}.issuperset(map(len, block)):
+            width = next(i for i, row in enumerate(block) if len(row) != len(HEADER))
+            reason = f"expected {len(HEADER)} columns, got {len(block[width])}"
+            error = ParseError(_line_of(text, len(fields) // len(HEADER) + width), reason)
+            fields += chain.from_iterable(block[:width])
+            break
+        fields += chain.from_iterable(block)
+    ids, names, *texts, statuses = (
+        tuple(map(str.strip, fields[i :: len(HEADER)])) for i in range(len(HEADER))
+    )
+    columns = (ids, names, *map(_read_counts, texts), statuses)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, "missing header")
-        if header and header[0].startswith("﻿"):
-            header = [header[0].lstrip("﻿"), *header[1:]]
-        if tuple(h.strip() for h in header) != HEADER:
-            raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(HEADER):
-                reason = f"expected {len(HEADER)} columns, got {len(row)}"
-                raise ParseError(reader.line_num, reason)
-            district_id, name, *counts, status = map(str.strip, row)
-            if not district_id:
-                raise ParseError(reader.line_num, "empty district_id")
-            if district_id in seen:
-                raise ParseError(reader.line_num, f"duplicate district_id {district_id!r}")
-            seen.add(district_id)
-            for value in counts:
-                if not (value.isascii() and value.isdigit()) or len(value) > _MAX_DIGITS:
-                    # the first bad value: any equal one before it would have failed too
-                    column = _COUNT_COLUMNS[counts.index(value)]
-                    raise ParseError(reader.line_num, f"bad integer in column {column}: {value!r}")
-            ballot_total, ballot_c1, mail_total, mail_c1 = map(int, counts)
-            try:
-                record = DistrictRecord(
-                    district_id, name, ballot_total, ballot_c1, mail_total, mail_c1, status
-                )
-            except ValidationError as exc:
-                raise ParseError(reader.line_num, str(exc)) from None
-            districts.append(record)
-    except csv.Error as exc:  # a field over csv.field_size_limit(), a bare CR in a field
-        raise ParseError(reader.line_num, str(exc)) from None
-    return ElectionDataset(tuple(districts))
+        _check(columns)
+    except ValidationError as exc:
+        raise ParseError(_line_of(text, exc.row), str(exc)) from None
+    if error is not None:
+        raise error
+    return ElectionDataset._of(columns)
 
 
 def load_dataset(path: str | Path) -> ElectionDataset:
@@ -229,10 +340,7 @@ def serialize_dataset(ds: ElectionDataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(HEADER)
-    for d in ds:
-        writer.writerow(
-            (d.district_id, d.name, d.ballot_total, d.ballot_c1, d.mail_total, d.mail_c1, d.status)
-        )
+    writer.writerows(zip(*_FIELDS(ds)))
     return out.getvalue()
 
 
@@ -244,28 +352,17 @@ def contested_statuses(include_dubious: bool) -> set[str]:
 def partition(
     ds: ElectionDataset, include_dubious_as_red: bool = False
 ) -> tuple[tuple[DistrictRecord, ...], tuple[DistrictRecord, ...]]:
-    """Split districts into (accepted, contested) lists.
-
-    Dubious districts count as accepted ("green") unless
-    ``include_dubious_as_red`` moves them to the contested side.  No district
-    is ever dropped or duplicated.
-    """
-    red_statuses = contested_statuses(include_dubious_as_red)
-    green = tuple(d for d in ds if d.status not in red_statuses)
-    red = tuple(d for d in ds if d.status in red_statuses)
-    return green, red
+    """``ds.split`` as (accepted, contested) tuples of DistrictRecords."""
+    green, red = ds.split(include_dubious_as_red)
+    return green.districts, red.districts
 
 
-def aggregate_red(red: Iterable[DistrictRecord]) -> RedTotals:
+def aggregate_red(red: ElectionDataset | Iterable[DistrictRecord]) -> RedTotals:
     """Componentwise sums of ballot_c1, mail_total, mail_c1 over districts."""
-    red = tuple(red)
-    if not red:
+    red = as_dataset(red)
+    if not len(red):
         raise ValidationError("cannot aggregate an empty district list")
-    return RedTotals(
-        sum(d.ballot_c1 for d in red),
-        sum(d.mail_total for d in red),
-        sum(d.mail_c1 for d in red),
-    )
+    return RedTotals(sum(red.ballot_c1), sum(red.mail_total), sum(red.mail_c1))
 
 
 def half_margin(margin: int) -> int:
@@ -274,7 +371,7 @@ def half_margin(margin: int) -> int:
 
 
 def reversal_threshold(
-    ds: ElectionDataset, red: Iterable[DistrictRecord], strict: bool = False
+    ds: ElectionDataset, red: ElectionDataset | Iterable[DistrictRecord], strict: bool = False
 ) -> int:
     """Mail votes candidate 1 would need in the contested districts to win.
 

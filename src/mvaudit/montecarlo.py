@@ -21,11 +21,11 @@ first use, inside the array functions, so importing the package skips it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .data import ElectionDataset, aggregate_red, contested_statuses, partition
+from .data import ElectionDataset, aggregate_red, contested_statuses
 from .errors import AuditError
 from .prediction import _standardize
 from .special import student_t_cdf, student_t_quantile
@@ -80,9 +80,9 @@ def _mail_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated mail_c1 counts, one row per replication, and the clamps per row."""
     import numpy as np
-    ballot_c1 = np.array([d.ballot_c1 for d in ds], dtype=float)
-    mail_total = np.array([d.mail_total for d in ds], dtype=float)
-    z = _standard_normals(seed, replications, len(ds.districts))
+    ballot_c1 = np.array(ds.ballot_c1, dtype=float)
+    mail_total = np.array(ds.mail_total, dtype=float)
+    z = _standard_normals(seed, replications, len(ds))
     raw = np.rint(params.k * ballot_c1 + z * params.sigma * np.sqrt(mail_total))
     clamped = np.clip(raw, 0.0, mail_total)
     return clamped.astype(int), np.count_nonzero(clamped != raw, axis=1)
@@ -98,7 +98,7 @@ def simulate_election(
     statuses are unchanged; the result is deterministic in (seed, replication).
     """
     counts, _ = _mail_counts(ds, params, seed, range(replication, replication + 1))
-    return ElectionDataset(tuple(replace(d, mail_c1=c) for d, c in zip(ds, counts[0].tolist())))
+    return ds.with_mail_c1(counts[0].tolist())
 
 
 class ReplicationOutcome(NamedTuple):
@@ -125,13 +125,15 @@ def _replications(
     """
     import numpy as np
     contested = contested_statuses(include_dubious)
-    red = [i for i, d in enumerate(ds) if d.status in contested]
-    used = [i for i, d in enumerate(ds) if d.status not in contested and d.mail_total > 0]
-    ballot_c1 = [ds.districts[i].ballot_c1 for i in used]
-    mail_total = [ds.districts[i].mail_total for i in used]
+    red = [i for i, s in enumerate(ds.status) if s in contested]
+    used = [
+        i for i, (s, m) in enumerate(zip(ds.status, ds.mail_total)) if s not in contested and m > 0
+    ]
+    ballot_c1 = [ds.ballot_c1[i] for i in used]
+    mail_total = [ds.mail_total[i] for i in used]
     ballot_c1_f, mail_total_f = np.array(ballot_c1, dtype=float), np.array(mail_total, dtype=float)
     if fit is not None:
-        totals = aggregate_red(ds.districts[i] for i in red)
+        totals = aggregate_red(ds.split(include_dubious)[1])
         if totals.ballot_c1 == 0 and totals.mail_total == 0:
             raise AuditError(
                 "contested districts have neither candidate-1 ballot votes nor mail votes: "
@@ -174,7 +176,7 @@ def replicate_once(
     the model the statistic should follow the t distribution used by the
     reversal probability.
     """
-    green, _ = partition(ds, include_dubious_as_red=include_dubious)
+    green, _ = ds.split(include_dubious)
     try:
         fit = fit_through_origin(green)
     except (InsufficientDataError, RankDeficiencyError):
@@ -233,8 +235,8 @@ def calibrate(
         raise AuditError(f"need at least 100 replications, got {replications}")
     if not 0 <= seed < 2**128:
         raise AuditError(f"seed must be in [0, 2**128), got {seed}")
-    green, red = partition(ds, include_dubious_as_red=include_dubious)
-    if not red:
+    green, red = ds.split(include_dubious)
+    if not len(red):
         raise AuditError("dataset has no contested districts to calibrate against")
     fit = fit_through_origin(green)
     outcomes = _replications(ds, params, seed, range(replications), include_dubious, fit)
@@ -256,7 +258,7 @@ def calibrate(
         seed=seed,
         dof=fit.dof,
         failed_replications=replications - len(t_stats),
-        clamped_fraction=sum(o.n_clamped for o in outcomes) / (replications * len(ds.districts)),
+        clamped_fraction=sum(o.n_clamped for o in outcomes) / (replications * len(ds)),
         mean_red_mail_c1=realized_total / replications,
         expected_red_mail_c1=params.k * aggregate_red(red).ballot_c1,
     )

@@ -18,7 +18,6 @@ from .data import (
     ElectionDataset,
     RedTotals,
     aggregate_red,
-    partition,
     reversal_threshold,
 )
 from .errors import AuditError
@@ -84,7 +83,7 @@ def _standardize(
 
 def reversal_probability(
     fit: RegressionFit,
-    red: Iterable[DistrictRecord],
+    red: ElectionDataset | Iterable[DistrictRecord],
     threshold: float,
     variant: str = "M11",
 ) -> ReversalReport:
@@ -118,7 +117,7 @@ def reversal_probability(
 
 
 def prediction_interval(
-    fit: RegressionFit, red: Iterable[DistrictRecord], level: float
+    fit: RegressionFit, red: ElectionDataset | Iterable[DistrictRecord], level: float
 ) -> PredictionInterval:
     """Two-sided prediction interval for the contested mail-vote aggregate."""
     if not (0.0 < level < 1.0):
@@ -150,7 +149,7 @@ def analyze_dataset(
     ds: ElectionDataset, include_dubious: bool = False, strict: bool = False
 ) -> AnalysisResult:
     """Run partition -> fit -> threshold -> reversal probability."""
-    green, red = partition(ds, include_dubious_as_red=include_dubious)
+    green, red = ds.split(include_dubious)
     fit = fit_through_origin(green)
     threshold = reversal_threshold(ds, red, strict=strict)
     variant = "M14" if include_dubious else "M11"

@@ -9,9 +9,12 @@ reassigned vote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
+from operator import add, sub
+from typing import Iterable
 
-from .data import DistrictRecord, ElectionDataset
+from .data import DistrictRecord, ElectionDataset, as_dataset
 from .errors import AuditError
 
 __all__ = ["CapacityError", "ScenarioResult", "build_reversal_scenario"]
@@ -57,7 +60,7 @@ def _largest_remainder(amount: int, bases: dict[str, int]) -> dict[str, int]:
 
 def build_reversal_scenario(
     ds: ElectionDataset,
-    red: tuple[DistrictRecord, ...],
+    red: ElectionDataset | Iterable[DistrictRecord],
     votes_to_move: int,
     base: str = "mail_total",
 ) -> ScenarioResult:
@@ -72,13 +75,14 @@ def build_reversal_scenario(
         raise AuditError(f"unknown allocation base {base!r}; expected one of {ALLOCATION_BASES}")
     if votes_to_move < 0:
         raise AuditError(f"votes_to_move must be nonnegative, got {votes_to_move}")
-    red_ids = [d.district_id for d in red]
-    capacity = {d.district_id: d.mail_c2 for d in red}
+    red = as_dataset(red)
+    red_ids = red.district_id
+    capacity = dict(zip(red_ids, map(sub, red.mail_total, red.mail_c1)))
     total_capacity = sum(capacity.values())
     if votes_to_move > total_capacity:
         raise CapacityError(votes_to_move, total_capacity)
 
-    base_of = {d.district_id: getattr(d, base) for d in red}
+    base_of = capacity if base == "mail_c2" else dict(zip(red_ids, red.mail_total))
     alloc = {k: 0 for k in red_ids}
     active = [k for k in red_ids if capacity[k] > alloc[k]]
     remaining = votes_to_move
@@ -90,18 +94,10 @@ def build_reversal_scenario(
             remaining -= take
         active = [k for k in active if capacity[k] > alloc[k]]
 
-    by_id = dict(alloc)
-    modified = ElectionDataset(
-        tuple(
-            replace(d, mail_c1=d.mail_c1 + by_id[d.district_id])
-            if d.district_id in by_id
-            else d
-            for d in ds
-        )
-    )
+    moved = map(alloc.get, ds.district_id, repeat(0))
     return ScenarioResult(
-        modified=modified,
-        votes_moved=by_id,
+        modified=ds.with_mail_c1(map(add, ds.mail_c1, moved)),
+        votes_moved=alloc,
         total_moved=votes_to_move,
         resulting_margin=-ds.margin_official + 2 * votes_to_move,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from html import escape
 
-from .data import DistrictRecord, ElectionDataset, partition
+from .data import ElectionDataset
 
 __all__ = ["render_scatter"]
 
@@ -69,7 +69,7 @@ def render_scatter(
     ds: ElectionDataset, include_dubious: bool = False, title: str = "Mail vs ballot vote shares"
 ) -> str:
     """Render the dataset as an SVG document string."""
-    green, red = partition(ds, include_dubious_as_red=include_dubious)
+    green, red = ds.split(include_dubious)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
@@ -110,15 +110,16 @@ def render_scatter(
         f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2})">mail votes for candidate 1 (%)</text>'
     )
 
-    def shares(d: DistrictRecord) -> tuple[float, float] | None:
-        bs, ms = d.ballot_share, d.mail_share
-        if bs is None or ms is None:
-            return None
-        return 100.0 * bs, 100.0 * ms
+    def points(side: ElectionDataset) -> list[tuple[float, float, str, str]]:
+        """(ballot %, mail %, name, status) of the districts with both kinds of votes."""
+        rows = zip(side.ballot_c1, side.ballot_total, side.mail_c1, side.mail_total)
+        return [
+            (100.0 * (b1 / b), 100.0 * (m1 / m), name, status)
+            for (b1, b, m1, m), name, status in zip(rows, side.name, side.status)
+            if b and m
+        ]
 
-    green_pts = [(d, shares(d)) for d in green]
-    green_xy = [xy for _, xy in green_pts if xy is not None]
-    line = _display_fit(green_xy)
+    line = _display_fit([(x, y) for x, y, _, _ in points(green)])
     if line is not None:
         seg = _clip_line(*line)
         if seg is not None:
@@ -129,25 +130,22 @@ def render_scatter(
             )
 
     for side, color in ((green, _GREEN), (red, _RED)):
-        for d in side:
-            xy = shares(d)
-            if xy is None:
-                continue
+        for x, y, name, status in points(side):
             cls = "pt green" if color == _GREEN else "pt red"
             extra = ""
-            if d.status == "dubious":
+            if status == "dubious":
                 cls += " dubious"
                 extra = ' stroke="#000" stroke-width="1.2" stroke-dasharray="2.5,1.5"'
             parts.append(
-                f'<circle class="{cls}" cx="{_sx(xy[0]):.2f}" cy="{_sy(xy[1]):.2f}" '
+                f'<circle class="{cls}" cx="{_sx(x):.2f}" cy="{_sy(y):.2f}" '
                 f'r="4" fill="{color}" fill-opacity="0.75"{extra}>'
-                f"<title>{escape(d.name, quote=False)}</title></circle>"
+                f"<title>{escape(name, quote=False)}</title></circle>"
             )
 
     # legend (rect swatches so data circles stay countable)
     lx, ly = _ML + 12, _MT + 14
     entries = [(_GREEN, "accepted districts"), (_RED, "contested districts")]
-    if any(d.status == "dubious" for d in ds):
+    if ds.count_status("dubious"):
         entries.append((None, "dubious (dashed outline)"))
     for i, (color, label) in enumerate(entries):
         y = ly + 18 * i

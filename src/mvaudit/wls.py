@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import mul, not_, sub, truediv
 from typing import Iterable
 
-from .data import DistrictRecord
+from .data import DistrictRecord, ElectionDataset, as_dataset
 from .errors import AuditError
 
 __all__ = [
@@ -55,27 +57,30 @@ class RegressionFit:
         return self.sigma2 / self.s_xx
 
 
-def fit_through_origin(districts: Iterable[DistrictRecord]) -> RegressionFit:
+def fit_through_origin(districts: ElectionDataset | Iterable[DistrictRecord]) -> RegressionFit:
     """Fit mail_c1 = slope * ballot_c1 with var(noise) = sigma^2 * mail_total.
 
     Districts with no mail votes carry no information (their weight is
     undefined) and are excluded but recorded.
     """
-    districts = tuple(districts)
-    used = [d for d in districts if d.mail_total > 0]
-    excluded = tuple(d.district_id for d in districts if d.mail_total == 0)
-    if len(used) < 2:
+    ds = as_dataset(districts)
+    ids, x, y, m = (  # a count selects its row when it is not 0
+        tuple(compress(column, ds.mail_total))
+        for column in (ds.district_id, ds.ballot_c1, ds.mail_c1, ds.mail_total)
+    )
+    excluded = tuple(compress(ds.district_id, map(not_, ds.mail_total)))
+    if len(ids) < 2:
         raise InsufficientDataError(
-            f"through-origin fit needs at least 2 districts with mail votes, got {len(used)}"
+            f"through-origin fit needs at least 2 districts with mail votes, got {len(ids)}"
         )
-    if all(d.ballot_c1 == 0 for d in used):
+    if not any(x):
         raise RankDeficiencyError("all ballot_c1 regressor values are zero")
-    s_xx = math.fsum(d.ballot_c1 * d.ballot_c1 / d.mail_total for d in used)
-    s_xy = math.fsum(d.ballot_c1 * d.mail_c1 / d.mail_total for d in used)
+    s_xx = math.fsum(map(truediv, map(mul, x, x), m))
+    s_xy = math.fsum(map(truediv, map(mul, x, y), m))
     slope = s_xy / s_xx
-    residuals = {d.district_id: d.mail_c1 - slope * d.ballot_c1 for d in used}
-    wrss = math.fsum(r * r / d.mail_total for d, r in zip(used, residuals.values()))
-    n_used = len(used)
+    residuals = list(map(sub, y, map(mul, repeat(slope), x)))
+    wrss = math.fsum(map(truediv, map(mul, residuals, residuals), m))
+    n_used = len(ids)
     dof = n_used - 1
     sigma2 = wrss / dof
     return RegressionFit(
@@ -84,7 +89,6 @@ def fit_through_origin(districts: Iterable[DistrictRecord]) -> RegressionFit:
         s_xx=s_xx,
         dof=dof,
         n_used=n_used,
-        residuals=residuals,
+        residuals=dict(zip(ids, residuals)),
         excluded=excluded,
     )
-

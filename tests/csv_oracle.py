@@ -19,6 +19,7 @@ from mvaudit.data import HEADER, STATUSES, ParseError
 
 _INT_RE = re.compile(r"^[0-9]+$")
 _MAX_DIGITS = 4300  # Python's default limit on int(str)
+_COUNT_BOUND = 2**63
 
 
 class OracleDataset(NamedTuple):
@@ -28,7 +29,7 @@ class OracleDataset(NamedTuple):
 
 
 def _parse_int(value: str, column: str, line: int) -> int:
-    if not _INT_RE.match(value) or len(value) > _MAX_DIGITS:
+    if not _INT_RE.match(value) or len(value) > _MAX_DIGITS or int(value) >= _COUNT_BOUND:
         raise ParseError(line, f"bad integer in column {column}: {value!r}")
     return int(value)
 
