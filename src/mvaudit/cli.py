@@ -46,10 +46,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
     result = analyze_dataset(ds, include_dubious=args.include_dubious, strict=args.strict)
     fit, report = result.fit, result.report
-    interval = None
-    if args.level is not None:
-        _, red = ds.split(args.include_dubious)
-        interval = prediction_interval(fit, red, args.level)
+    interval = None if args.level is None else prediction_interval(fit, result.red, args.level)
     if args.json:
         payload = {
             "command": "analyze",

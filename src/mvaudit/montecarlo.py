@@ -6,16 +6,20 @@ and within a replication the district at position i consumes uniform draws
 2i and 2i+1 (Box-Muller, cosine branch).
 
 Replications are simulated in blocks of BLOCK_ROWS rows (replications) by
-districts; each row is filled from its own stream and transformed
-elementwise.  Simulation changes only mail_c1, so the observed accepted-side
-fit supplies s_xx, dof and the geometry checks, and each row recomputes only
-s_xy and the weighted residual sum of squares, from the terms
-``wls.fit_through_origin`` uses: int * int / int for s_xy (correctly rounded
-at any size) and ``math.fsum`` for both sums (correctly rounded whatever the
-grouping).  The realized contested aggregate is an exact integer sum.  So a
-replication gives the same bits alone (``replicate_once``), in any block and
-in any order; the block size only bounds peak memory.  numpy is imported on
-first use, inside the array functions, so importing the package skips it.
+districts; each row is filled from its own stream (one generator, reset to
+the state of a fresh Philox(key=seed, counter=[0,0,0,r]) before each row)
+and transformed elementwise.  Simulation changes only mail_c1, so the
+observed accepted-side fit supplies s_xx, dof and the geometry checks, and
+each row recomputes only s_xy and the weighted residual sum of squares, from
+the terms ``wls.fit_through_origin`` uses: int * int / int for s_xy
+(correctly rounded at any size; float terms when max(ballot_c1) *
+max(mail_total) < 2**53 over the fitted rows, as mail_c1 <= mail_total makes
+every product exact) and ``math.fsum`` for both sums (correctly rounded
+whatever the grouping).  The realized contested aggregate is an exact
+integer sum.  So a replication gives the same bits alone (``replicate_once``),
+in any block and in any order; the block size only bounds peak memory.
+numpy is imported on first use, inside the array functions, so importing
+the package skips it.
 """
 
 from __future__ import annotations
@@ -67,10 +71,13 @@ def _standard_normals(seed: int, replications: range, n: int) -> np.ndarray:
     Entry [j, i] is a fixed function of (seed, replications[j], i).
     """
     import numpy as np
+    bitgen = np.random.Philox(key=int(seed))
+    generator, state = np.random.Generator(bitgen), bitgen.state
     u = np.empty((len(replications), 2 * n))
     for row, r in zip(u, replications):
-        bitgen = np.random.Philox(key=int(seed), counter=[0, 0, 0, r])
-        np.random.Generator(bitgen).random(out=row)
+        state["state"]["counter"][3] = r
+        bitgen.state = state
+        generator.random(out=row)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     return radius * np.cos(2.0 * np.pi * u[:, 1::2])
 
@@ -132,6 +139,7 @@ def _replications(
     ballot_c1 = [ds.ballot_c1[i] for i in used]
     mail_total = [ds.mail_total[i] for i in used]
     ballot_c1_f, mail_total_f = np.array(ballot_c1, dtype=float), np.array(mail_total, dtype=float)
+    exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
     if fit is not None:
         totals = aggregate_red(ds.split(include_dubious)[1])
         if totals.ballot_c1 == 0 and totals.mail_total == 0:
@@ -148,9 +156,11 @@ def _replications(
             t_stats = [None] * len(block)
         else:
             mail_c1 = counts[:, used]
-            # int * int / int is correctly rounded at any size, like the fit's own terms
-            s_xy = [math.fsum(map(truediv, map(mul, ballot_c1, row), mail_total))
-                    for row in mail_c1.tolist()]
+            if exact_floats:  # exact product / exact total: rounded as the int quotient is
+                s_xy = [math.fsum(row) for row in (mail_c1 * ballot_c1_f / mail_total_f).tolist()]
+            else:  # int * int / int is correctly rounded at any size, like the fit's own terms
+                s_xy = [math.fsum(map(truediv, map(mul, ballot_c1, row), mail_total))
+                        for row in mail_c1.tolist()]
             slope = np.array(s_xy) / fit.s_xx
             residuals = mail_c1 - slope[:, None] * ballot_c1_f
             wrss = [math.fsum(row) for row in (residuals * residuals / mail_total_f).tolist()]

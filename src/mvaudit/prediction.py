@@ -10,7 +10,7 @@ Student-t statistic whose upper tail is the reversal probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .data import (
@@ -136,13 +136,14 @@ def prediction_interval(
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Full pipeline output: partition sizes, fit, and reversal report."""
+    """Full pipeline output: partition sizes, fit, reversal report, contested districts."""
 
     n_green: int
     n_red: int
     margin_official: int
     fit: RegressionFit
     report: ReversalReport
+    red: ElectionDataset = field(compare=False, repr=False)
 
 
 def analyze_dataset(
@@ -160,4 +161,5 @@ def analyze_dataset(
         margin_official=ds.margin_official,
         fit=fit,
         report=report,
+        red=red,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "DomainError",
@@ -98,6 +99,7 @@ def log_gamma(x: float) -> float:
     return tmp + math.log(_SQRT_TWO_PI * ser / x)
 
 
+@lru_cache(maxsize=64)  # every tail call at one nu needs log B(nu/2, 1/2)
 def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 

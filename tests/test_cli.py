@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -233,6 +234,21 @@ class TestCalibrate:
         assert len(payload["t_stats"]) + payload["failed_replications"] == 120
         assert payload["dof"] == 105
         assert payload["clamped_fraction"] <= 0.001
+
+    @pytest.mark.parametrize(
+        "variant, digest",
+        [
+            ((), "b1224bcde093c864513475d88551025fc994447ba6290071fb43379080c636de"),
+            (("--include-dubious",),
+             "df7131a3b0f1060fd8895cff24e1b140fb47e56bb9cb3391ef5b330fde3d58ff"),
+        ],
+    )
+    def test_default_seed_output_is_pinned(self, capsys, fixture_arg, variant, digest):
+        # sha256 of the whole --json output at the default seed: a changed
+        # stream, s_xy term or tail value shows as a changed byte
+        code, out, _ = run(capsys, "calibrate", fixture_arg, "--reps", "2000", *variant, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_too_few_reps_is_usage_error(self, fixture_arg):
         with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,7 @@ from mvaudit.data import (
     ElectionDataset,
     ParseError,
     ValidationError,
+    _check,
     parse_dataset,
     partition,
     serialize_dataset,
@@ -77,6 +78,29 @@ class TestRecordEquivalence:
             ds.with_mail_c1((-1,))
         with pytest.raises(ValidationError, match="bad integer in column mail_c1"):
             ds.with_mail_c1(("5",))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-1, "bad integer in column mail_c1: -1"),
+            (5.0, "bad integer in column mail_c1: 5.0"),
+            (COUNT_BOUND, f"bad integer in column mail_c1: {COUNT_BOUND}"),
+            (COUNT_BOUND - 1, "mail votes for candidate exceed mail total"),
+        ],
+        ids=["negative", "not_int", "over_bound", "over_mail_total"],
+    )
+    def test_new_mail_c1_fails_as_under_every_rule(self, value, message):
+        # with_mail_c1 checks only the rules mail_c1 can break: the message and
+        # the row must be those of the whole column checker
+        records = [DistrictRecord(f"d{i}", "A", 1000, 400, 300, 100, "green") for i in range(6)]
+        ds = ElectionDataset(records)
+        mail_c1 = (100, 90, 80, value, 301, -5)
+        with pytest.raises(ValidationError) as fast:
+            ds.with_mail_c1(mail_c1)
+        with pytest.raises(ValidationError) as every_rule:
+            _check((*[getattr(ds, c) for c in HEADER[:5]], mail_c1, ds.status))
+        assert (str(fast.value), fast.value.row) == (str(every_rule.value), every_rule.value.row)
+        assert (str(fast.value), fast.value.row) == (message, 3)
 
 
 class TestScenarioColumn:
@@ -246,3 +270,18 @@ class TestColumnPath:
             assert code == 0, out
             assert json.loads(out)["command"] == argv[0]
         assert built == []
+
+    def test_analyze_with_level_splits_once(self, capsys, tmp_path, monkeypatch):
+        # the interval reuses the contested side that the analysis built
+        path = small_precinct_csv(tmp_path / "precincts.csv")
+        splits = []
+        split = ElectionDataset.split
+
+        def counting(ds, *args):
+            splits.append(len(ds))
+            return split(ds, *args)
+
+        monkeypatch.setattr(ElectionDataset, "split", counting)
+        code, out, _ = run(capsys, "analyze", path, "--include-dubious", "--level", "0.99", "--json")
+        assert code == 0 and json.loads(out)["prediction_interval"]["level"] == 0.99
+        assert splits == [60]

@@ -84,6 +84,17 @@ class TestSimulateElection:
             prefix = _standard_normals(seed=7, replications=range(3, 4), n=i + 1)[0]
             assert prefix[i] == full[i]
 
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_rekeyed_streams_match_fresh_generators(self, seed, n):
+        # one generator re-keyed per row must give each row what a fresh
+        # Philox(key=seed, counter=[0, 0, 0, r]) gives, from mid-block on; for
+        # odd n, 2n uniforms leave buffered draws behind each row
+        replications = range(BLOCK_ROWS // 2, BLOCK_ROWS // 2 + 9)
+        rows = _standard_normals(seed, replications, n)
+        for row, r in zip(rows, replications):
+            assert row.tobytes() == mc_oracle.standard_normals(seed, r, n).tobytes()
+
     def test_replications_are_distinct_streams(self):
         a, b = _standard_normals(seed=7, replications=range(2), n=20)
         assert not np.allclose(a, b)
@@ -208,6 +219,18 @@ def noise_free_template():
     )
 
 
+# (ballot_c1, mail_total) put into one fitted row; the other rows' counts stay
+# below 5,000, so this row holds max(ballot_c1)
+BIG_ROWS = {
+    "big": (3_000_000_019, 700_000_003),  # terms far beyond 2**53
+    # max(ballot_c1) * max(mail_total) = 2**53 - 1: the float terms are exact
+    "below_2**53": (441_650_591, 20_394_401),
+    # ballot_c1 * 321 = 2**53 + 1, which no float holds; mail_c1 clamps to 321,
+    # so a float term would be rounded where the int quotient is exact
+    "above_2**53": (28_059_810_762_433, 321),
+}
+
+
 class TestScalarOracleAgreement:
     @given(
         data_seed=st.integers(0, 2**32 - 1),
@@ -216,7 +239,7 @@ class TestScalarOracleAgreement:
             lambda r: r % BLOCK_ROWS != 0
         ),
         include_dubious=st.booleans(),
-        case=st.sampled_from(("random", "big", "noise_free")),
+        case=st.sampled_from(("random", "big", "noise_free", "below_2**53", "above_2**53")),
     )
     @example(data_seed=1, seed=2**128 - 1, replications=BLOCK_ROWS + 1, include_dubious=False,
              case="random")
@@ -224,6 +247,10 @@ class TestScalarOracleAgreement:
              case="big")
     @example(data_seed=3, seed=0, replications=BLOCK_ROWS + 50, include_dubious=True,
              case="noise_free")
+    @example(data_seed=4, seed=11, replications=BLOCK_ROWS + 5, include_dubious=False,
+             case="below_2**53")
+    @example(data_seed=5, seed=12, replications=BLOCK_ROWS + 5, include_dubious=True,
+             case="above_2**53")
     @settings(max_examples=25)
     def test_calibrate_matches_scalar_replication(
         self, data_seed, seed, replications, include_dubious, case
@@ -243,9 +270,10 @@ class TestScalarOracleAgreement:
             districts = list(ds.districts)
             # a green district without mail votes is left out of every fit
             districts[0] = replace(districts[0], mail_total=0, mail_c1=0)
-            if case == "big":
-                # ballot_c1 * mail_c1 / mail_total terms beyond 2**53
-                big_ballot, big_mail = 3_000_000_019, 700_000_003
+            if case in BIG_ROWS:
+                # max(ballot_c1) * max(mail_total) over the fitted rows decides
+                # whether the s_xy terms may be computed in floats
+                big_ballot, big_mail = BIG_ROWS[case]
                 districts[1] = replace(
                     districts[1], ballot_total=big_ballot, ballot_c1=big_ballot,
                     mail_total=big_mail, mail_c1=0,

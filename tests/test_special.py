@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mvaudit.special import (
     DomainError,
     TailProbability,
+    _log_beta,
     log_gamma,
     reg_inc_beta,
     student_t_cdf,
@@ -54,6 +55,18 @@ class TestLogGamma:
             assert log_gamma(x + 1.0) == pytest.approx(
                 log_gamma(x) + math.log(x), rel=1e-13, abs=1e-13
             )
+
+
+class TestLogBeta:
+    @given(
+        st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False),
+        st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=200)
+    def test_cached_value_is_the_formula(self, a, b):
+        expected = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+        assert _log_beta(a, b).hex() == expected.hex()
+        assert _log_beta(a, b).hex() == expected.hex()  # from the cache
 
 
 class TestRegIncBeta:
@@ -145,6 +158,21 @@ class TestStudentTSf:
         grid = [-8.0 + 0.25 * i for i in range(153)]  # -8 .. 30
         values = [student_t_sf(t, nu).value for t in grid]
         assert all(u > v for u, v in zip(values, values[1:]))
+
+    @given(
+        st.floats(-60.0, 60.0, allow_nan=False),
+        st.floats(-60.0, 60.0, allow_nan=False),
+        st.floats(0.5, 1e6, allow_nan=False),
+    )
+    @settings(max_examples=300)
+    def test_monotone_non_increasing(self, t1, t2, nu):
+        lo, hi = sorted((t1, t2))
+        assert student_t_sf(lo, nu).value >= student_t_sf(hi, nu).value
+
+    @given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(0.5, 1e6, allow_nan=False))
+    @settings(max_examples=300)
+    def test_tails_sum_to_one(self, t, nu):
+        assert student_t_sf(t, nu).value + student_t_sf(-t, nu).value == 1.0
 
     def test_deep_tail_sanity(self):
         previous = None
