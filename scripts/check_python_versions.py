@@ -1,0 +1,124 @@
+"""Check that mvaudit reads and reports alike under several Python interpreters.
+
+Each interpreter needs only the standard library: analyze, validate and
+scenario never import numpy.  For every CSV file given, the commands
+
+    analyze --json, analyze --include-dubious --level 0.99 --json,
+    validate --json, scenario --json
+
+run under each interpreter with src/ on the path, and their output must be
+byte-identical to the first interpreter's.  Then each interpreter parses a
+seeded corpus of texts built from ``CSV_CHARS`` of tests/test_data.py twice:
+as ``parse_dataset`` reads them, and with the csv.reader path forced.  Both
+must give the same dataset, or a ParseError with the same line and reason.
+
+Run from the repository root:
+
+    python3 scripts/check_python_versions.py python3.11 python3.10 python3.12 \\
+        python3.13 -- src/mvaudit/fixtures/austria2016.csv precincts.csv
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = (
+    ["analyze", "--json"],
+    ["analyze", "--include-dubious", "--level", "0.99", "--json"],
+    ["validate", "--json"],
+    ["scenario", "--json"],
+)
+CORPUS_SIZE = 3000
+# line breaks of str.splitlines that csv.reader reads as plain characters
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+TOKENS = ("0", "7", " 12 ", "", "d1", "green", "red", "dubious")
+
+
+def csv_chars() -> str:
+    """CSV_CHARS of tests/test_data.py, read without importing pytest."""
+    tree = ast.parse((ROOT / "tests" / "test_data.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CSV_CHARS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("CSV_CHARS not found in tests/test_data.py")
+
+
+def corpus(chars: str, size: int) -> list[str]:
+    """Headers and rows of mostly seven fields; three in four texts avoid quote, CR and NUL."""
+    from mvaudit.data import HEADER
+
+    rng = random.Random(20160522)
+    texts = []
+    for _ in range(size):
+        plain = rng.random() < 0.75
+        alphabet = [c for c in chars if c not in ',\n' and not (plain and c in '"\r\x00')]
+        alphabet += SPLITLINES_BREAKS
+        lines = [",".join(HEADER)]
+        for _ in range(rng.randrange(7)):
+            width = rng.choice([7] * 8 + [6, 8, 13])
+            fields = [
+                rng.choice(TOKENS) if rng.random() < 0.6
+                else "".join(rng.choices(alphabet, k=rng.randrange(4)))
+                for _ in range(width)
+            ]
+            lines.append(",".join(fields) if rng.random() < 0.9 else "")
+        texts.append("\n".join(lines) + rng.choice(["", "\n"]))
+    return texts
+
+
+def check_corpus(size: int) -> int:
+    """Parse the corpus with and without the split path; 0 when they always agree."""
+    from mvaudit import data
+
+    def outcome(text):
+        try:
+            return data.parse_dataset(text)
+        except data.ParseError as exc:
+            return exc.line, exc.reason
+
+    texts = corpus(csv_chars(), size)
+    split = [outcome(text) for text in texts]
+    split_read = sum(data._split_fields(text) is not None for text in texts)
+    data._split_fields = lambda text: None
+    differ = [text for text, got in zip(texts, split) if outcome(text) != got]
+    print(f"{sys.version.split()[0]}: {len(texts)} texts, {split_read} read by splitting, "
+          f"{len(differ)} read differently by csv.reader")
+    for text in differ[:5]:
+        print(f"  {text!r}")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--corpus"]:
+        return check_corpus(int(argv[1]))
+    if "--" not in argv:
+        sys.exit(__doc__)
+    split = argv.index("--")
+    pythons, files = argv[:split], argv[split + 1 :]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    failed = 0
+    for path in files:
+        for command in COMMANDS:
+            argv_ = [command[0], path, *command[1:]]
+            outputs = [
+                subprocess.run([py, "-m", "mvaudit.cli", *argv_], env=env, capture_output=True,
+                               check=True).stdout
+                for py in pythons
+            ]
+            differ = [py for py, out in zip(pythons, outputs) if out != outputs[0]]
+            failed += bool(differ)
+            print(f"{' '.join(argv_)}: {len(outputs[0])} bytes, "
+                  f"{'differs under ' + ', '.join(differ) if differ else 'identical'}")
+    for py in pythons:
+        failed += subprocess.run([py, __file__, "--corpus", str(CORPUS_SIZE)], env=env).returncode
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -54,6 +54,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n_districts": len(ds),
             "n_green": result.n_green,
             "n_red": result.n_red,
+            "n_used": fit.n_used,
+            "excluded": list(fit.excluded),
             "margin_official": result.margin_official,
             "slope": fit.slope,
             "sigma2": fit.sigma2,
@@ -76,6 +78,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _print_json(payload)
         return 0
     print(f"districts            : {len(ds)} ({result.n_green} accepted, {result.n_red} contested)")
+    excluded = f"{len(fit.excluded)} without mail votes excluded"
+    if fit.excluded:
+        excluded += ": " + ", ".join(fit.excluded[:3]) + (", ..." if len(fit.excluded) > 3 else "")
+    print(f"fitted districts     : {fit.n_used} ({excluded})")
     print(f"variant              : {report.variant}")
     print(f"official margin (c2) : {result.margin_official}")
     print(f"slope                : {_fmt(fit.slope)}")

@@ -15,6 +15,13 @@ No field may exceed the csv module's field size limit (131,072 characters).
 Anything else ends in a ParseError with the line it was found on (of
 several faults, the one on the earliest line).
 
+Text that is not empty and has no quote, CR or NUL, no line longer than the
+csv module's field size limit and seven fields on every non-blank data line
+is read with str.split, at LF and at commas.  csv.reader would read it alike
+(Python 3.10's rejects NUL, later ones accept it) but more slowly.  It reads
+every other text, so quoting, CRLF and each error's line and message stay
+as the csv module has them.
+
 An ElectionDataset holds one tuple per CSV column, in file order, and is
 checked a whole column at a time.  Every command reads only the columns: a
 DistrictRecord per district is built when a dataset is iterated or its
@@ -260,15 +267,23 @@ class RedTotals(NamedTuple):
     mail_c1: int
 
 
-def _read_counts(texts: tuple[str, ...]) -> tuple:
-    """The fields as ints where they spell counts; the others stay text for ``_check``."""
-    digits = "".join(texts)
-    if all(texts) and (digits.isascii() and digits.isdigit() or not digits):
-        if max(map(len, texts), default=0) <= _MAX_DIGITS:
-            counts = tuple(map(int, texts))
-            if max(counts, default=0) < _COUNT_BOUND:
-                return counts
-    return texts if len(texts) == 1 else tuple(chain.from_iterable(map(_read_counts, zip(texts))))
+def _read_counts(texts: list[str] | tuple[str, ...]) -> tuple:
+    """The fields, blanks stripped, as ints where they spell counts; the rest stay text for _check.
+
+    The raw fields are tried before the stripped ones: counts are rarely
+    padded, and stripping every field costs more than a second try.
+    """
+    for strip in False, True:
+        column = tuple(map(str.strip, texts)) if strip else texts
+        digits = "".join(column)
+        if all(column) and (digits.isascii() and digits.isdigit() or not digits):
+            if max(map(len, column), default=0) <= _MAX_DIGITS:
+                counts = tuple(map(int, column))
+                if max(counts, default=0) < _COUNT_BOUND:
+                    return counts
+    if len(column) == 1:
+        return column
+    return tuple(chain.from_iterable(map(_read_counts, zip(column))))  # field by field
 
 
 def _line_of(text: str, row: int) -> int:
@@ -280,13 +295,29 @@ def _line_of(text: str, row: int) -> int:
     return reader.line_num
 
 
-def parse_dataset(source: str | TextIO) -> ElectionDataset:
-    """Parse and validate a dataset from CSV text or a text stream.
+def _split_fields(text: str) -> tuple[list[str], list[str]] | None:
+    """The header and the flat data fields, split at LF and commas; None if csv.reader must read.
 
-    Rows are read up to the first one that the csv module or the column count
-    rejects; a fault in the rows before it is reported first.
+    Only LF ends a line, as for csv.reader; ``str.splitlines`` would also end
+    one at VT, FF, FS, GS, RS, NEL, LS and PS, which csv.reader keeps in a field.
     """
-    text = source if isinstance(source, str) else source.read()
+    if not text or '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = list(filter(None, islice(lines, 1, None)))
+    if not {len(HEADER) - 1}.issuperset(map(str.count, rows, repeat(","))):
+        return None
+    return lines[0].split(","), ",".join(rows).split(",") if rows else []
+
+
+def _read_fields(text: str) -> tuple[list[str], list[str], ParseError | None]:
+    """The header, the flat fields of the rows before the first fault, and that fault.
+
+    Rows are read by csv.reader up to the first one that it or the column
+    count rejects.  A text without a header raises its ParseError at once.
+    """
     reader = csv.reader(io.StringIO(text))
     error = None
 
@@ -301,10 +332,6 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
     header = next(read, None)
     if header is None:
         raise error or ParseError(1, "missing header")
-    if header and header[0].startswith("\ufeff"):
-        header = [header[0].lstrip("\ufeff"), *header[1:]]
-    if tuple(h.strip() for h in header) != HEADER:
-        raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
     rows, fields = filter(None, read), []
     for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
         if not {len(HEADER)}.issuperset(map(len, block)):
@@ -314,9 +341,24 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
             fields += chain.from_iterable(block[:width])
             break
         fields += chain.from_iterable(block)
-    ids, names, *texts, statuses = (
-        tuple(map(str.strip, fields[i :: len(HEADER)])) for i in range(len(HEADER))
-    )
+    return header, fields, error
+
+
+def parse_dataset(source: str | TextIO) -> ElectionDataset:
+    """Parse and validate a dataset from CSV text or a text stream.
+
+    Rows are read up to the first one that the csv module or the column count
+    rejects; a fault in the rows before it is reported first.
+    """
+    text = source if isinstance(source, str) else source.read()
+    split = _split_fields(text)
+    header, fields, error = (*split, None) if split else _read_fields(text)
+    if header and header[0].startswith("\ufeff"):
+        header = [header[0].lstrip("\ufeff"), *header[1:]]
+    if tuple(h.strip() for h in header) != HEADER:
+        raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
+    ids, names, *texts, statuses = (fields[i :: len(HEADER)] for i in range(len(HEADER)))
+    ids, names, statuses = (tuple(map(str.strip, c)) for c in (ids, names, statuses))
     columns = (ids, names, *map(_read_counts, texts), statuses)
     try:
         _check(columns)

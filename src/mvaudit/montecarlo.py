@@ -5,10 +5,12 @@ be split reproducibly: replication r uses Philox(key=seed, counter=[0,0,0,r]),
 and within a replication the district at position i consumes uniform draws
 2i and 2i+1 (Box-Muller, cosine branch).
 
-Replications are simulated in blocks of BLOCK_ROWS rows (replications) by
-districts; each row is filled from its own stream (one generator, reset to
-the state of a fresh Philox(key=seed, counter=[0,0,0,r]) before each row)
-and transformed elementwise.  Simulation changes only mail_c1, so the
+Replications are simulated in blocks of rows (replications) by districts:
+at most BLOCK_ROWS rows and, unless one row is wider, at most BLOCK_ELEMENTS
+rows x districts, so peak memory grows with neither count.  Each row is
+filled from its own stream (one generator, reset to the state of a fresh
+Philox(key=seed, counter=[0,0,0,r]) before each row) and transformed
+elementwise.  Simulation changes only mail_c1, so the
 observed accepted-side fit supplies s_xx, dof and the geometry checks, and
 each row recomputes only s_xy and the weighted residual sum of squares, from
 the terms ``wls.fit_through_origin`` uses: int * int / int for s_xy
@@ -47,8 +49,10 @@ __all__ = [
 
 PROBE_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
-# Replications simulated together: bounds peak memory whatever the count.
+# Replications simulated together, and their draws per district: bounds peak
+# memory whatever the replication and district counts.
 BLOCK_ROWS = 256
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ def _replications(
     include_dubious: bool,
     fit: RegressionFit | None,
 ) -> list[ReplicationOutcome]:
-    """Outcomes of ``replications``, simulated BLOCK_ROWS at a time.
+    """Outcomes of ``replications``, simulated a block at a time.
 
     ``fit`` is the through-origin fit of the observed accepted side (see the
     module docstring), or None when the geometry admits no fit: every t is
@@ -147,9 +151,10 @@ def _replications(
                 "contested districts have neither candidate-1 ballot votes nor mail votes: "
                 "the prediction sd is 0 in every replication"
             )
+    rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // max(len(ds), 1)))
     outcomes: list[ReplicationOutcome] = []
-    for start in range(replications.start, replications.stop, BLOCK_ROWS):
-        block = range(start, min(start + BLOCK_ROWS, replications.stop))
+    for start in range(replications.start, replications.stop, rows):
+        block = range(start, min(start + rows, replications.stop))
         counts, n_clamped = _mail_counts(ds, params, seed, block)
         realized = [sum(row) for row in counts[:, red].tolist()]
         if fit is None:

@@ -92,6 +92,27 @@ class TestAnalyze:
         assert payload["n_green"] == 106 and payload["n_red"] == 11
         assert payload["reversal_threshold"] == 49911
 
+    def test_exclusions_reported(self, capsys, fixture_arg, tmp_path):
+        _, out, _ = run(capsys, "analyze", fixture_arg, "--json")
+        assert (json.loads(out)["n_used"], json.loads(out)["excluded"]) == (106, [])
+        path = tmp_path / "zero_mail.csv"
+        path.write_text(
+            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+            "1,A,1000,400,200,90,green\n"
+            "2,B,1200,500,0,0,green\n"
+            "3,C,900,300,250,70,green\n"
+            "4,D,800,300,0,0,green\n"
+            "5,E,100,30,40,10,red\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["n_green"], payload["n_used"], payload["excluded"]) == (4, 2, ["2", "4"])
+        assert payload["dof"] == 1
+        _, human, _ = run(capsys, "analyze", str(path))
+        assert "fitted districts     : 2 (2 without mail votes excluded: 2, 4)\n" in human
+
     def test_json_variant_14(self, capsys, fixture_arg):
         code, out, _ = run(capsys, "analyze", fixture_arg, "--json", "--include-dubious")
         payload = json.loads(out)

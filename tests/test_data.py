@@ -2,9 +2,11 @@
 
 import csv
 import io
+from operator import attrgetter
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvaudit.data import (
@@ -286,6 +288,89 @@ class TestParserOracle:
         except ParseError:
             return
         assert isinstance(ds, ElectionDataset)
+
+
+def outcome(text: str):
+    """The dataset ``text`` parses to, or the (line, reason) of its ParseError."""
+    try:
+        return parse_dataset(text)
+    except ParseError as exc:
+        return exc.line, exc.reason
+
+
+# line breaks of str.splitlines that csv.reader reads as plain characters
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# field characters besides the csv specials: blanks str.strip removes, digit look-alikes
+FIELD_CHARS = " \ufeff09a١²+-_\t\x0b\x85\u2028"
+FIELD_TOKENS = ("0", "7", " 12 ", "", "d1", "green", "red", "dubious")
+
+
+@st.composite
+def unquoted_texts(draw):
+    """A header and lines of mostly 7 fields, some blank, some two rows joined by a
+    str.splitlines break, with or without a final LF; a few hold a quote, CR or NUL."""
+    field = st.one_of(st.sampled_from(FIELD_TOKENS), st.text(alphabet=FIELD_CHARS, max_size=3))
+    width = st.sampled_from([7] * 8 + [6, 8])
+    row = width.flatmap(lambda n: st.lists(field, min_size=n, max_size=n)).map(",".join)
+    joined = st.tuples(row, st.sampled_from(SPLITLINES_BREAKS), row).map("".join)
+    lines = draw(st.lists(st.one_of(row, row, row, row, joined, st.just("")), max_size=6))
+    text = "\n".join([HEADER_LINE, *lines]) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from('"\r\x00')) + text[at:]
+    return text
+
+
+class TestSplitPath:
+    """Unquoted LF text is read by splitting, and must read exactly as csv.reader reads it."""
+
+    @given(csv_texts())
+    @settings(max_examples=300)
+    def test_lf_parses_like_its_crlf_twin(self, text):
+        # a CR sends the twin through csv.reader
+        lf = text.replace("\r\n", "\n")
+        assume('"' not in lf)
+        assert outcome(lf) == outcome(lf.replace("\n", "\r\n"))
+
+    @given(unquoted_texts())
+    @settings(max_examples=300)
+    @example(csv_of("1,A\x0bB,100,40,50,20,green", "2,\u2028,100,40,50,20,red"))
+    @example(csv_of("1,A,100,40,50,20,green\x1c2,B,100,40,50,20,red"))
+    @example(csv_of("1,A,100,40,50,20,green", " ", "2,B,100,40,50,20,red"))
+    @example(csv_of("1,A,100,40,50,20,green\x00"))
+    @example(csv_of("1,\x1c A\x85,\t100 ,40,50,20,\x0bred\u2028"))
+    @example("\n" + csv_of("1,A,100,40,50,20,green"))
+    @example(HEADER_LINE)
+    def test_split_and_csv_reader_agree(self, text):
+        split = outcome(text)
+        with mock.patch("mvaudit.data._split_fields", return_value=None):
+            assert outcome(text) == split
+
+    def test_unquoted_lf_file_needs_no_csv_reader(self, fixture_csv_path, dataset):
+        # rows shaped like the benchmark's precinct file
+        text = csv_of(*(f"p{i:06d},Precinct {i:06d},{900 + i},{400 + i % 7},{i % 300},0,green"
+                        for i in range(3000)))
+        expected = csv_oracle.parse(text).rows
+        with mock.patch("mvaudit.data.csv.reader", side_effect=AssertionError("csv.reader ran")):
+            assert load_dataset(fixture_csv_path) == dataset
+            assert list(map(attrgetter(*HEADER), parse_dataset(text))) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            csv_of('1,"A",100,40,50,20,green'),
+            csv_of("1,A,100,40,50,20,green").replace("\n", "\r\n"),
+            csv_of("1,A,100,40,50,20,green\x00"),
+            csv_of("1,A,100,40,50,20"),
+            csv_of(f"1,{'x' * 131_073},100,40,50,20,green"),
+            "",
+        ],
+        ids=["quote", "crlf", "nul", "six_fields", "long_line", "empty"],
+    )
+    def test_other_text_goes_to_csv_reader(self, text):
+        with mock.patch("mvaudit.data.csv.reader", side_effect=RuntimeError("csv.reader ran")):
+            with pytest.raises(RuntimeError, match="csv.reader ran"):
+                parse_dataset(text)
 
 
 class TestPartition:

@@ -9,8 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvaudit.data import DistrictRecord, ElectionDataset, aggregate_red, partition
+from mvaudit import montecarlo
 from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
+    BLOCK_ELEMENTS,
     BLOCK_ROWS,
     ModelParameters,
     _mail_counts,
@@ -162,6 +164,26 @@ class TestCalibrate:
         assert report.ks_distance < 1.36 / math.sqrt(400)
         assert report.clamped_fraction <= 0.001
         assert report.mean_red_mail_c1 == pytest.approx(report.expected_red_mail_c1, rel=0.025)
+
+    def test_wide_dataset_blocks_stay_within_budget(self, monkeypatch):
+        # 3,000 districts leave room for 10 replications per block, and the
+        # blocks still give the t statistics of one block of all 100
+        ds = make_random_dataset(np.random.default_rng(5), n_green=2900, n_red=100)
+        blocks = []
+        mail_counts = montecarlo._mail_counts
+
+        def recording(ds, params, seed, replications):
+            blocks.append(replications)
+            return mail_counts(ds, params, seed, replications)
+
+        monkeypatch.setattr(montecarlo, "_mail_counts", recording)
+        report = calibrate(ds, PARAMS, replications=100, seed=4)
+        assert max(map(len, blocks)) * len(ds) <= BLOCK_ELEMENTS
+        assert [r for block in blocks for r in block] == list(range(100))
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", 100 * len(ds))
+        blocks.clear()
+        assert calibrate(ds, PARAMS, replications=100, seed=4) == report
+        assert blocks == [range(100)]
 
     def test_invalid_params_rejected(self):
         with pytest.raises(AuditError):

@@ -3,12 +3,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mvaudit.data import DistrictRecord, partition
 from mvaudit.errors import AuditError
 from mvaudit.prediction import analyze_dataset, prediction_interval, reversal_probability
 from mvaudit.wls import fit_through_origin
+from tests.conftest import make_random_dataset
 
 P11 = 1.322065e-10
 P14 = 5.151422e-8
@@ -58,6 +62,30 @@ class TestReversalProbability:
             for th in range(0, 200, 10)
         ]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n_green=st.integers(2, 40),
+        below=st.lists(st.floats(-1e3, -1e-3), min_size=1, max_size=5),
+        above=st.lists(st.floats(1e-3, 1e12), min_size=1, max_size=10),
+    )
+    @settings(max_examples=100)
+    def test_monotone_in_threshold_property(self, data_seed, n_green, below, above):
+        # thresholds `gap` prediction sds from the prediction: t of both signs,
+        # out to tails whose value underflows while log_value stays finite
+        rng = np.random.default_rng(data_seed)
+        green, red = partition(make_random_dataset(rng, n_green, int(rng.integers(1, 5))))
+        fit = fit_through_origin(green)
+        assume(fit.sigma2 > 0.0)
+        centre = reversal_probability(fit, red, 0.0)
+        thresholds = sorted(centre.prediction + gap * centre.pred_sd for gap in below + above)
+        reports = [reversal_probability(fit, red, th) for th in thresholds]
+        assert reports[0].t_stat < 0.0 < reports[-1].t_stat
+        values = [r.p_reversal.value for r in reports]
+        logs = [r.p_reversal.log_value for r in reports]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert all(a >= b for a, b in zip(logs, logs[1:]))
+        assert all(math.isfinite(log) for log in logs)
 
     def test_depends_only_on_gap(self, small_fit, small_red):
         # the standardization uses threshold and prediction only through
