@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mvaudit.data import half_margin, partition  # noqa: E402
+from mvaudit.data import half_margin  # noqa: E402
 from mvaudit.fixtures import load_fixture  # noqa: E402
 from mvaudit.scenario import build_reversal_scenario  # noqa: E402
 from mvaudit.svgplot import render_scatter  # noqa: E402
@@ -29,7 +29,7 @@ def main() -> None:
         render_scatter(ds, title="Mail vs ballot vote shares - official results"),
         encoding="utf-8",
     )
-    _, red = partition(ds)
+    _, red = ds.split()
     votes = half_margin(ds.margin_official)
     modified = build_reversal_scenario(ds, red, votes).modified
     (OUT_DIR / "figure2.svg").write_text(

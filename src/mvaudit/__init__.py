@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .data import (
-    DistrictRecord,
     ElectionDataset,
     aggregate_red,
     load_dataset,
     parse_dataset,
-    partition,
     reversal_threshold,
     serialize_dataset,
 )
@@ -34,12 +32,10 @@ from .wls import RegressionFit, fit_through_origin
 
 __all__ = [
     "__version__",
-    "DistrictRecord",
     "ElectionDataset",
     "parse_dataset",
     "load_dataset",
     "serialize_dataset",
-    "partition",
     "aggregate_red",
     "reversal_threshold",
     "RegressionFit",

@@ -23,9 +23,7 @@ every other text, so quoting, CRLF and each error's line and message stay
 as the csv module has them.
 
 An ElectionDataset holds one tuple per CSV column, in file order, and is
-checked a whole column at a time.  Every command reads only the columns: a
-DistrictRecord per district is built when a dataset is iterated or its
-``districts`` are read, and not before.
+checked a whole column at a time when it is built.
 """
 
 from __future__ import annotations
@@ -47,15 +45,12 @@ __all__ = [
     "HEADER",
     "ParseError",
     "ValidationError",
-    "DistrictRecord",
     "ElectionDataset",
-    "as_dataset",
     "RedTotals",
     "parse_dataset",
     "load_dataset",
     "serialize_dataset",
     "contested_statuses",
-    "partition",
     "aggregate_red",
     "half_margin",
     "reversal_threshold",
@@ -68,7 +63,7 @@ _COUNT_COLUMNS = HEADER[2:6]
 _MAX_DIGITS = 4300
 _COUNT_BOUND = 2**63
 _STATUS_SET = frozenset(STATUSES)
-_FIELDS = attrgetter(*HEADER)  # a record's fields, or a dataset's columns
+_FIELDS = attrgetter(*HEADER)  # a dataset's columns
 # Rows flattened at a time.  Fewer row lists are then alive at once than it takes
 # to start the cyclic garbage collector (700); holding all 100,000 rows of a
 # precinct file made it walk them for 60-90 ms.
@@ -85,7 +80,7 @@ class ParseError(AuditError):
 
 
 class ValidationError(AuditError):
-    """A dataset or record violates its invariants, first at ``row`` when known."""
+    """A dataset violates its invariants, first at ``row`` when known."""
 
     def __init__(self, reason: str, row: int | None = None):
         self.row = row
@@ -123,6 +118,8 @@ def _fault(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) 
 
 def _check(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) -> None:
     """Raise a ValidationError, with its row, for the first row that breaks a rule."""
+    if len(set(map(len, columns))) > 1:
+        raise ValidationError(f"columns differ in length: {tuple(map(len, columns))}")
     if _fault(columns, new) is None:
         return
     good, bad = 0, len(columns[0])  # the first `good` rows break no rule, the first `bad` do
@@ -136,60 +133,11 @@ def _check(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) 
 
 
 @dataclass(frozen=True)
-class DistrictRecord:
-    """One voting district's counted results plus its contamination status."""
-
-    district_id: str
-    name: str
-    ballot_total: int
-    ballot_c1: int
-    mail_total: int
-    mail_c1: int
-    status: str
-
-    def __post_init__(self):
-        _check(tuple(zip(_FIELDS(self))))  # the dataset rules, on a one-row dataset
-
-    @property
-    def ballot_c2(self) -> int:
-        return self.ballot_total - self.ballot_c1
-
-    @property
-    def mail_c2(self) -> int:
-        return self.mail_total - self.mail_c1
-
-    @property
-    def total_votes(self) -> int:
-        return self.ballot_total + self.mail_total
-
-    @property
-    def c1_votes(self) -> int:
-        return self.ballot_c1 + self.mail_c1
-
-    @property
-    def c2_votes(self) -> int:
-        return self.ballot_c2 + self.mail_c2
-
-    @property
-    def ballot_share(self) -> float | None:
-        """Candidate-1 share of ballot votes, None when no ballots were cast."""
-        if self.ballot_total == 0:
-            return None
-        return self.ballot_c1 / self.ballot_total
-
-    @property
-    def mail_share(self) -> float | None:
-        if self.mail_total == 0:
-            return None
-        return self.mail_c1 / self.mail_total
-
-
-@dataclass(frozen=True, init=False)
 class ElectionDataset:
     """Immutable, validated districts in file order, one tuple per CSV column.
 
-    ``ElectionDataset(records)`` transposes DistrictRecords into the columns;
-    ``districts`` (and iteration) builds them back on first use.
+    Building one checks the columns: a ValidationError names the first row
+    that breaks a rule.
     """
 
     district_id: tuple[str, ...]
@@ -200,11 +148,10 @@ class ElectionDataset:
     mail_c1: tuple[int, ...]
     status: tuple[str, ...]
 
-    def __init__(self, districts: Iterable[DistrictRecord] = ()):
-        districts = tuple(districts)
-        columns = tuple(zip(*map(_FIELDS, districts))) or ((),) * len(HEADER)
+    def __post_init__(self):
+        columns = tuple(map(tuple, _FIELDS(self)))
         _check(columns)
-        self.__dict__.update(zip(HEADER, columns), districts=districts)
+        self.__dict__.update(zip(HEADER, columns))
 
     @classmethod
     def _of(cls, columns: tuple[tuple, ...]) -> ElectionDataset:
@@ -215,13 +162,6 @@ class ElectionDataset:
 
     def __len__(self) -> int:
         return len(self.district_id)
-
-    def __iter__(self):
-        return iter(self.districts)
-
-    @cached_property
-    def districts(self) -> tuple[DistrictRecord, ...]:
-        return tuple(map(DistrictRecord, *_FIELDS(self)))
 
     def count_status(self, status: str) -> int:
         return self.status.count(status)
@@ -252,11 +192,6 @@ class ElectionDataset:
         columns = (*_FIELDS(self)[:5], tuple(mail_c1), self.status)
         _check(columns, frozenset({"mail_c1"}))
         return ElectionDataset._of(columns)
-
-
-def as_dataset(districts: ElectionDataset | Iterable[DistrictRecord]) -> ElectionDataset:
-    """A dataset as it is; DistrictRecords transposed into a new one."""
-    return districts if isinstance(districts, ElectionDataset) else ElectionDataset(districts)
 
 
 class RedTotals(NamedTuple):
@@ -359,14 +294,13 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
         raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
     ids, names, *texts, statuses = (fields[i :: len(HEADER)] for i in range(len(HEADER)))
     ids, names, statuses = (tuple(map(str.strip, c)) for c in (ids, names, statuses))
-    columns = (ids, names, *map(_read_counts, texts), statuses)
     try:
-        _check(columns)
+        ds = ElectionDataset(ids, names, *map(_read_counts, texts), statuses)
     except ValidationError as exc:
         raise ParseError(_line_of(text, exc.row), str(exc)) from None
     if error is not None:
         raise error
-    return ElectionDataset._of(columns)
+    return ds
 
 
 def load_dataset(path: str | Path) -> ElectionDataset:
@@ -394,17 +328,8 @@ def contested_statuses(include_dubious: bool) -> set[str]:
     return {"red", "dubious"} if include_dubious else {"red"}
 
 
-def partition(
-    ds: ElectionDataset, include_dubious_as_red: bool = False
-) -> tuple[tuple[DistrictRecord, ...], tuple[DistrictRecord, ...]]:
-    """``ds.split`` as (accepted, contested) tuples of DistrictRecords."""
-    green, red = ds.split(include_dubious_as_red)
-    return green.districts, red.districts
-
-
-def aggregate_red(red: ElectionDataset | Iterable[DistrictRecord]) -> RedTotals:
+def aggregate_red(red: ElectionDataset) -> RedTotals:
     """Componentwise sums of ballot_c1, mail_total, mail_c1 over districts."""
-    red = as_dataset(red)
     if not len(red):
         raise ValidationError("cannot aggregate an empty district list")
     return RedTotals(sum(red.ballot_c1), sum(red.mail_total), sum(red.mail_c1))
@@ -415,9 +340,7 @@ def half_margin(margin: int) -> int:
     return (margin + 1) // 2
 
 
-def reversal_threshold(
-    ds: ElectionDataset, red: ElectionDataset | Iterable[DistrictRecord], strict: bool = False
-) -> int:
+def reversal_threshold(ds: ElectionDataset, red: ElectionDataset, strict: bool = False) -> int:
     """Mail votes candidate 1 would need in the contested districts to win.
 
     Default semantics add half the official margin, rounded up, to the

@@ -86,15 +86,24 @@ def _standard_normals(seed: int, replications: range, n: int) -> np.ndarray:
     return radius * np.cos(2.0 * np.pi * u[:, 1::2])
 
 
-def _mail_counts(
-    ds: ElectionDataset, params: ModelParameters, seed: int, replications: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated mail_c1 counts, one row per replication, and the clamps per row."""
+def _float_columns(ds: ElectionDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ballot_c1, mail_total and sqrt(mail_total) as float arrays, built once per run."""
     import numpy as np
-    ballot_c1 = np.array(ds.ballot_c1, dtype=float)
     mail_total = np.array(ds.mail_total, dtype=float)
-    z = _standard_normals(seed, replications, len(ds))
-    raw = np.rint(params.k * ballot_c1 + z * params.sigma * np.sqrt(mail_total))
+    return np.array(ds.ballot_c1, dtype=float), mail_total, np.sqrt(mail_total)
+
+
+def _mail_counts(
+    columns: tuple[np.ndarray, ...], params: ModelParameters, seed: int, replications: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated mail_c1 counts, one row per replication, and the clamps per row.
+
+    ``columns`` are the dataset's ``_float_columns``.
+    """
+    import numpy as np
+    ballot_c1, mail_total, root_mail_total = columns
+    z = _standard_normals(seed, replications, len(ballot_c1))
+    raw = np.rint(params.k * ballot_c1 + z * params.sigma * root_mail_total)
     clamped = np.clip(raw, 0.0, mail_total)
     return clamped.astype(int), np.count_nonzero(clamped != raw, axis=1)
 
@@ -108,7 +117,7 @@ def simulate_election(
     mail_total), clamped into [0, mail_total].  Ballot votes, totals, and
     statuses are unchanged; the result is deterministic in (seed, replication).
     """
-    counts, _ = _mail_counts(ds, params, seed, range(replication, replication + 1))
+    counts, _ = _mail_counts(_float_columns(ds), params, seed, range(replication, replication + 1))
     return ds.with_mail_c1(counts[0].tolist())
 
 
@@ -142,7 +151,8 @@ def _replications(
     ]
     ballot_c1 = [ds.ballot_c1[i] for i in used]
     mail_total = [ds.mail_total[i] for i in used]
-    ballot_c1_f, mail_total_f = np.array(ballot_c1, dtype=float), np.array(mail_total, dtype=float)
+    columns = _float_columns(ds)
+    ballot_c1_f, mail_total_f = columns[0][used], columns[1][used]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
     if fit is not None:
         totals = aggregate_red(ds.split(include_dubious)[1])
@@ -155,7 +165,7 @@ def _replications(
     outcomes: list[ReplicationOutcome] = []
     for start in range(replications.start, replications.stop, rows):
         block = range(start, min(start + rows, replications.stop))
-        counts, n_clamped = _mail_counts(ds, params, seed, block)
+        counts, n_clamped = _mail_counts(columns, params, seed, block)
         realized = [sum(row) for row in counts[:, red].tolist()]
         if fit is None:
             t_stats = [None] * len(block)

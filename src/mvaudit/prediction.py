@@ -11,15 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from .data import (
-    DistrictRecord,
-    ElectionDataset,
-    RedTotals,
-    aggregate_red,
-    reversal_threshold,
-)
+from .data import ElectionDataset, RedTotals, aggregate_red, reversal_threshold
 from .errors import AuditError
 from .special import TailProbability, student_t_quantile, student_t_sf
 from .wls import RegressionFit, fit_through_origin
@@ -83,7 +75,7 @@ def _standardize(
 
 def reversal_probability(
     fit: RegressionFit,
-    red: ElectionDataset | Iterable[DistrictRecord],
+    red: ElectionDataset,
     threshold: float,
     variant: str = "M11",
 ) -> ReversalReport:
@@ -117,7 +109,7 @@ def reversal_probability(
 
 
 def prediction_interval(
-    fit: RegressionFit, red: ElectionDataset | Iterable[DistrictRecord], level: float
+    fit: RegressionFit, red: ElectionDataset, level: float
 ) -> PredictionInterval:
     """Two-sided prediction interval for the contested mail-vote aggregate."""
     if not (0.0 < level < 1.0):

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, sub
-from typing import Iterable
 
-from .data import DistrictRecord, ElectionDataset, as_dataset
+from .data import ElectionDataset
 from .errors import AuditError
 
 __all__ = ["CapacityError", "ScenarioResult", "build_reversal_scenario"]
@@ -45,14 +44,16 @@ class ScenarioResult:
 def _largest_remainder(amount: int, bases: dict[str, int]) -> dict[str, int]:
     """Integer shares of ``amount`` proportional to ``bases``, summing exactly.
 
-    Leftover units go to the largest fractional remainders, ties broken by
+    Each share is the exact integer quotient of amount * base by the total
+    base; the leftover units go to the largest remainders, ties broken by
     ascending district id.
     """
     total_base = sum(bases.values())
-    quotas = {k: amount * b / total_base for k, b in bases.items()}
-    shares = {k: int(q) for k, q in quotas.items()}
+    shares, remainders = {}, {}
+    for k, b in bases.items():
+        shares[k], remainders[k] = divmod(amount * b, total_base)
     leftover = amount - sum(shares.values())
-    by_remainder = sorted(bases, key=lambda k: (-(quotas[k] - shares[k]), k))
+    by_remainder = sorted(bases, key=lambda k: (-remainders[k], k))
     for k in by_remainder[:leftover]:
         shares[k] += 1
     return shares
@@ -60,7 +61,7 @@ def _largest_remainder(amount: int, bases: dict[str, int]) -> dict[str, int]:
 
 def build_reversal_scenario(
     ds: ElectionDataset,
-    red: ElectionDataset | Iterable[DistrictRecord],
+    red: ElectionDataset,
     votes_to_move: int,
     base: str = "mail_total",
 ) -> ScenarioResult:
@@ -75,7 +76,6 @@ def build_reversal_scenario(
         raise AuditError(f"unknown allocation base {base!r}; expected one of {ALLOCATION_BASES}")
     if votes_to_move < 0:
         raise AuditError(f"votes_to_move must be nonnegative, got {votes_to_move}")
-    red = as_dataset(red)
     red_ids = red.district_id
     capacity = dict(zip(red_ids, map(sub, red.mail_total, red.mail_c1)))
     total_capacity = sum(capacity.values())

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import mul, not_, sub, truediv
-from typing import Iterable
 
-from .data import DistrictRecord, ElectionDataset, as_dataset
+from .data import ElectionDataset
 from .errors import AuditError
 
 __all__ = [
@@ -57,13 +56,12 @@ class RegressionFit:
         return self.sigma2 / self.s_xx
 
 
-def fit_through_origin(districts: ElectionDataset | Iterable[DistrictRecord]) -> RegressionFit:
+def fit_through_origin(ds: ElectionDataset) -> RegressionFit:
     """Fit mail_c1 = slope * ballot_c1 with var(noise) = sigma^2 * mail_total.
 
     Districts with no mail votes carry no information (their weight is
     undefined) and are excluded but recorded.
     """
-    ds = as_dataset(districts)
     ids, x, y, m = (  # a count selects its row when it is not 0
         tuple(compress(column, ds.mail_total))
         for column in (ds.district_id, ds.ballot_c1, ds.mail_c1, ds.mail_total)

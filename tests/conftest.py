@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mvaudit.data import DistrictRecord, ElectionDataset
+from mvaudit.data import HEADER, ElectionDataset
 from mvaudit.fixtures import fixture_path, load_fixture
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -30,6 +30,12 @@ def t_oracle() -> dict:
         return json.load(fh)
 
 
+def dataset_of(rows) -> ElectionDataset:
+    """The checked dataset of (district_id, name, ballot_total, ballot_c1,
+    mail_total, mail_c1, status) rows, in order."""
+    return ElectionDataset(*(tuple(zip(*rows)) or ((),) * len(HEADER)))
+
+
 def make_random_dataset(
     rng: np.random.Generator,
     n_green: int = 12,
@@ -37,22 +43,14 @@ def make_random_dataset(
     n_dubious: int = 0,
 ) -> ElectionDataset:
     """Small valid dataset with pseudo-realistic counts for property tests."""
-    districts = []
+    rows = []
     statuses = ["green"] * n_green + ["red"] * n_red + ["dubious"] * n_dubious
     for i, status in enumerate(statuses):
         ballot_total = int(rng.integers(200, 5000))
         mail_total = int(rng.integers(50, 1500))
         ballot_c1 = int(rng.integers(0, ballot_total + 1))
         mail_c1 = int(rng.integers(0, mail_total + 1))
-        districts.append(
-            DistrictRecord(
-                district_id=f"r{i:03d}",
-                name=f"Random {i:03d}",
-                ballot_total=ballot_total,
-                ballot_c1=ballot_c1,
-                mail_total=mail_total,
-                mail_c1=mail_c1,
-                status=status,
-            )
+        rows.append(
+            (f"r{i:03d}", f"Random {i:03d}", ballot_total, ballot_c1, mail_total, mail_c1, status)
         )
-    return ElectionDataset(tuple(districts))
+    return dataset_of(rows)

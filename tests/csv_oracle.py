@@ -1,9 +1,10 @@
 """Regex-based reference parser for the district CSV dialect.
 
 The plain form of ``mvaudit.data.parse_dataset``: every check spelled out
-in file order, one ``^[0-9]+$`` match per count, the record invariants
-checked here rather than by ``DistrictRecord``, and the official margin
-summed as candidate-2 votes minus candidate-1 votes.
+row by row in file order, one ``^[0-9]+$`` match per count, the row
+invariants checked here rather than by the column checker behind
+``ElectionDataset``, and the official margin summed as candidate-2 votes
+minus candidate-1 votes.
 ``tests/test_data.py`` requires the library parser to return the same rows
 and margin, or to raise a ParseError with the same line and message.
 """

@@ -1,9 +1,9 @@
 """Scalar Monte Carlo replication, the reference for the block kernel.
 
 One replication at a time: draw every district's noise from the
-replication's own Philox stream, rebuild the districts with the simulated
-mail_c1, refit the accepted side with ``fit_through_origin`` and standardize
-the realized contested aggregate with ``prediction._standardize``.
+replication's own Philox stream, build the accepted side with the simulated
+mail_c1 as a new checked dataset, refit it with ``fit_through_origin`` and
+standardize the realized contested aggregate with ``prediction._standardize``.
 ``mvaudit.montecarlo`` computes the same statistics for a block of
 replications at once; ``tests/test_montecarlo.py`` requires the two to agree
 bit for bit.
@@ -11,12 +11,12 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from mvaudit.data import ElectionDataset, aggregate_red, contested_statuses
+from mvaudit.data import HEADER, ElectionDataset, aggregate_red, contested_statuses
 from mvaudit.montecarlo import ModelParameters, ReplicationOutcome
 from mvaudit.prediction import _standardize
 from mvaudit.wls import InsufficientDataError, RankDeficiencyError, fit_through_origin
@@ -34,9 +34,9 @@ def simulate_mail_counts(
     ds: ElectionDataset, params: ModelParameters, seed: int, replication: int
 ) -> tuple[np.ndarray, int]:
     """Simulated mail_c1 counts for every district, plus how many clamped."""
-    ballot_c1 = np.array([d.ballot_c1 for d in ds], dtype=float)
-    mail_total = np.array([d.mail_total for d in ds], dtype=float)
-    z = standard_normals(seed, replication, len(ds.districts))
+    ballot_c1 = np.array(ds.ballot_c1, dtype=float)
+    mail_total = np.array(ds.mail_total, dtype=float)
+    z = standard_normals(seed, replication, len(ds))
     raw = np.rint(params.k * ballot_c1 + z * params.sigma * np.sqrt(mail_total))
     clamped = np.clip(raw, 0.0, mail_total)
     n_clamped = int(np.sum(clamped != raw))
@@ -50,12 +50,16 @@ def replicate_once(
     replication: int,
     include_dubious: bool = False,
 ) -> ReplicationOutcome:
-    """Simulate, rebuild every district, refit the accepted side, standardize."""
+    """Simulate, build the accepted side anew, refit it, standardize."""
     counts, n_clamped = simulate_mail_counts(ds, params, seed, replication)
     contested = contested_statuses(include_dubious)
-    green = [replace(d, mail_c1=int(c)) for d, c in zip(ds, counts) if d.status not in contested]
-    red = [d for d in ds if d.status in contested]
-    realized = sum(int(c) for d, c in zip(ds, counts) if d.status in contested)
+    red_rows = [s in contested for s in ds.status]
+    green_rows = [not r for r in red_rows]
+    columns = [getattr(ds, c) for c in HEADER]
+    simulated = [*columns[:5], tuple(map(int, counts)), columns[6]]
+    green = ElectionDataset(*(tuple(compress(c, green_rows)) for c in simulated))
+    red = ElectionDataset(*(tuple(compress(c, red_rows)) for c in columns))
+    realized = sum(compress(simulated[5], red_rows))
     try:
         fit = fit_through_origin(green)
     except (InsufficientDataError, RankDeficiencyError):
@@ -98,6 +102,6 @@ def calibrate(
     return OracleCalibration(
         t_stats=tuple(t_stats),
         failed_replications=failed,
-        clamped_fraction=total_clamped / (replications * len(ds.districts)),
+        clamped_fraction=total_clamped / (replications * len(ds)),
         mean_red_mail_c1=realized_total / replications,
     )

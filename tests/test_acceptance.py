@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from mvaudit.cli import main as cli_main
-from mvaudit.data import aggregate_red, parse_dataset, partition, reversal_threshold, serialize_dataset
+from mvaudit.data import aggregate_red, parse_dataset, reversal_threshold, serialize_dataset
 from mvaudit.fixtures import load_fixture
 from mvaudit.montecarlo import ModelParameters, calibrate, replicate_once
 from mvaudit.prediction import analyze_dataset
 from mvaudit.scenario import build_reversal_scenario
 from mvaudit.special import student_t_cdf, student_t_quantile, student_t_sf
 from mvaudit.wls import fit_through_origin
-from tests.conftest import make_random_dataset
+from tests.conftest import dataset_of, make_random_dataset
 from tests.test_wls import normal_equation_oracle, random_problem
 from tests.wls_oracle import as_general_problem, solve_general
 
@@ -46,8 +46,8 @@ def test_criterion_1_headline_probability(dataset):
 
 
 def test_criterion_2_published_constants(dataset):
-    green, red = partition(dataset)
-    green14, red14 = partition(dataset, include_dubious_as_red=True)
+    green, red = dataset.split()
+    green14, red14 = dataset.split(True)
     totals = aggregate_red(red)
     assert totals.mail_total == 77_769
     assert totals.mail_c1 == 34_479
@@ -67,10 +67,13 @@ def test_criterion_3_fourteen_district_variant(dataset):
 
 
 def test_criterion_4_reversal_scenario(dataset):
-    _, red = partition(dataset)
+    _, red = dataset.split()
     result = build_reversal_scenario(dataset, red, 15_432)
     assert result.resulting_margin == 1
-    margin = sum(d.c1_votes for d in result.modified) - sum(d.c2_votes for d in result.modified)
+    m = result.modified
+    c1_votes = sum(m.ballot_c1) + sum(m.mail_c1)
+    c2_votes = sum(m.ballot_total) - sum(m.ballot_c1) + sum(m.mail_total) - sum(m.mail_c1)
+    margin = c1_votes - c2_votes
     assert margin == 1
 
     rng = np.random.default_rng(424242)
@@ -81,15 +84,16 @@ def test_criterion_4_reversal_scenario(dataset):
             n_red=int(rng.integers(1, 6)),
             n_dubious=int(rng.integers(0, 3)),
         )
-        _, reds = partition(ds, include_dubious_as_red=bool(rng.integers(0, 2)))
-        votes = int(rng.integers(0, sum(d.mail_c2 for d in reds) + 1))
+        _, reds = ds.split(bool(rng.integers(0, 2)))
+        votes = int(rng.integers(0, sum(reds.mail_total) - sum(reds.mail_c1) + 1))
         scenario = build_reversal_scenario(ds, reds, votes)
         assert scenario.resulting_margin == -ds.margin_official + 2 * votes
-        assert sum(d.total_votes for d in scenario.modified) == sum(d.total_votes for d in ds)
-        for before, after in zip(ds, scenario.modified):
-            assert after.mail_total == before.mail_total
-            assert after.ballot_total == before.ballot_total
-            assert 0 <= after.mail_c1 <= after.mail_total
+        m = scenario.modified
+        assert sum(m.ballot_total) + sum(m.mail_total) == sum(ds.ballot_total) + sum(ds.mail_total)
+        assert m.mail_total == ds.mail_total
+        assert m.ballot_total == ds.ballot_total
+        for mail_c1, mail_total in zip(m.mail_c1, m.mail_total):
+            assert 0 <= mail_c1 <= mail_total
         assert sum(scenario.votes_moved.values()) == votes
     report_pass(4, "margin +1 exact; invariants hold on 1000 random datasets")
 
@@ -129,7 +133,7 @@ def test_criterion_5_special_functions(t_oracle):
 
 
 def test_criterion_6_wls_equivalences(dataset):
-    green, _ = partition(dataset)
+    green, _ = dataset.split()
     fit = fit_through_origin(green)
     general = solve_general(as_general_problem(green))
     assert fit.slope == pytest.approx(float(general.beta[0]), rel=1e-12)
@@ -140,11 +144,11 @@ def test_criterion_6_wls_equivalences(dataset):
         n = int(rng.integers(3, 40))
         from tests.test_wls import district
 
-        districts = [
+        districts = dataset_of(
             district(i, int(rng.integers(1, 5000)), int(m := rng.integers(10, 2000)),
                      int(rng.integers(0, m + 1)))
             for i in range(n)
-        ]
+        )
         f = fit_through_origin(districts)
         g = solve_general(as_general_problem(districts))
         assert f.slope == pytest.approx(float(g.beta[0]), rel=1e-12)
@@ -161,7 +165,7 @@ def test_criterion_6_wls_equivalences(dataset):
 
 
 def test_criterion_7_monte_carlo_calibration(dataset):
-    green, _ = partition(dataset)
+    green, _ = dataset.split()
     fit = fit_through_origin(green)
     params = ModelParameters(k=fit.slope, sigma=math.sqrt(fit.sigma2))
     start = time.perf_counter()

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from mvaudit.cli import main
+from mvaudit.data import load_dataset, parse_dataset
 
 P11 = 1.322065e-10
 P14 = 5.151422e-8
@@ -219,6 +220,26 @@ class TestScenario:
         assert payload["resulting_margin_c1_minus_c2"] == 1
         assert sum(payload["votes_moved"].values()) == 15432
         assert payload["csv"].startswith("district_id,name,")
+
+    def test_moves_exactly_the_votes_asked_for_on_huge_counts(self, capsys, tmp_path):
+        # float quotas past 2**53 once moved 5 votes more than the summary reported
+        mail_totals = (3595351650018309043, 2456465800505386286, 942879118058144419,
+                       2927771633508938554, 205885137275371229)
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+            "g1,G1,1000,400,200,90,green\ng2,G2,1200,500,300,140,green\n"
+            + "".join(f"r{i},R{i},0,0,{m},0,red\n" for i, m in enumerate(mail_totals)),
+            encoding="utf-8",
+        )
+        votes = 169801152120619551
+        code, out, _ = run(capsys, "scenario", str(path), "--votes", str(votes), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["votes_moved_total"] == sum(payload["votes_moved"].values()) == votes
+        before, after = load_dataset(path), parse_dataset(payload["csv"])
+        assert sum(after.mail_c1) - sum(before.mail_c1) == votes
+        assert payload["resulting_margin_c1_minus_c2"] == -after.margin_official
 
 
 class TestPlot:

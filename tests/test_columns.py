@@ -1,8 +1,9 @@
-"""The column-per-field dataset: equivalence with records, counts bounded by value,
-and a precinct-scale command path that builds no per-district records."""
+"""The column-per-field dataset: one checked constructor that agrees with the CSV
+parser, counts bounded by value, and the precinct-scale command path."""
 
 import json
 import math
+from dataclasses import astuple
 from operator import le
 
 import pytest
@@ -13,25 +14,22 @@ from mvaudit.cli import main
 from mvaudit.data import (
     HEADER,
     STATUSES,
-    DistrictRecord,
     ElectionDataset,
     ParseError,
     ValidationError,
     _check,
     parse_dataset,
-    partition,
     serialize_dataset,
 )
 from mvaudit.errors import AuditError
 from mvaudit.prediction import analyze_dataset
 from mvaudit.scenario import build_reversal_scenario
+from tests.conftest import dataset_of
 from tests.test_data import district_strategy
 
 COUNT_BOUND = 2**63
 
-districts_strategy = st.lists(
-    district_strategy, min_size=0, max_size=25, unique_by=lambda d: d.district_id
-)
+districts_strategy = st.lists(district_strategy, min_size=0, max_size=25, unique_by=lambda d: d[0])
 
 
 def write_csv(path, rows):
@@ -45,39 +43,93 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def csv_text(rows):
+    """CSV text of rows whose fields print as themselves."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [HEADER, *rows])
+
+
+# count fields the rules reject, as the parser leaves them: text
+BAD_COUNTS = st.sampled_from(["-1", "+5", "x", "", str(COUNT_BOUND)])
+FAULTS = st.sampled_from(["excess", "status", "duplicate", "empty_id", "count"])
+
+
+@st.composite
+def faulty_rows(draw):
+    """Valid rows with one or two fields that break a rule, every field as the parser reads it."""
+    rows = [list(row) for row in draw(districts_strategy.filter(len))]
+    for fault in sorted(draw(st.lists(FAULTS, min_size=1, max_size=2)), key="count".__eq__):
+        row = draw(st.sampled_from(rows))
+        others = [other for other in rows if other is not row]
+        if fault == "count":  # last: the other faults need int counts
+            row[draw(st.integers(2, 5))] = draw(BAD_COUNTS)
+        elif fault == "excess":
+            total = draw(st.sampled_from([2, 4]))
+            row[total + 1] = row[total] + 1
+        elif fault == "status":
+            row[6] = draw(st.sampled_from(["purple", "Green", ""]))
+        elif fault == "duplicate" and others:
+            row[0] = draw(st.sampled_from(others))[0]
+        else:
+            row[0] = ""
+    return [tuple(row) for row in rows]
+
+
 class TestRecordEquivalence:
+    """CSV records (rows) given as columns or as CSV text make one dataset."""
+
     @given(districts_strategy)
     @settings(max_examples=80)
     def test_records_and_csv_give_one_dataset(self, records):
-        ds = ElectionDataset(records)
+        ds = dataset_of(records)
         parsed = parse_dataset(serialize_dataset(ds))
         assert parsed == ds
-        assert tuple(parsed) == tuple(ds) == parsed.districts == tuple(records)
-        assert ds.margin_official == sum(d.c2_votes - d.c1_votes for d in records)
-        assert parsed.margin_official == ds.margin_official
+        assert parse_dataset(csv_text(records)) == ds
+        assert list(zip(*astuple(parsed))) == records
+        c1 = sum(r[3] + r[5] for r in records)
+        c2 = sum((r[2] - r[3]) + (r[4] - r[5]) for r in records)
+        assert ds.margin_official == parsed.margin_official == c2 - c1
         for status in STATUSES:
-            expected = sum(1 for d in records if d.status == status)
+            expected = sum(1 for r in records if r[6] == status)
             assert ds.count_status(status) == parsed.count_status(status) == expected
+
+    @given(faulty_rows())
+    @settings(max_examples=150)
+    def test_faulty_row_fails_as_in_csv(self, rows):
+        # the constructor names the row, the parser that row's line: header + 1 + row
+        columns = tuple(zip(*rows))
+        with pytest.raises(ValidationError) as built:
+            ElectionDataset(*columns)
+        with pytest.raises(ParseError) as parsed:
+            parse_dataset(csv_text(rows))
+        assert (parsed.value.reason, parsed.value.line) == (str(built.value), built.value.row + 2)
 
     @given(districts_strategy, st.booleans())
     @settings(max_examples=60)
     def test_split_matches_partition(self, records, include_dubious):
-        ds = ElectionDataset(records)
+        # the two sides partition the rows by status, each side in file order
+        ds = dataset_of(records)
         green, red = ds.split(include_dubious)
-        assert (green.districts, red.districts) == partition(ds, include_dubious)
+        contested = {"red", "dubious"} if include_dubious else {"red"}
+        assert green == dataset_of([r for r in records if r[6] not in contested])
+        assert red == dataset_of([r for r in records if r[6] in contested])
         assert len(green) + len(red) == len(ds)
 
     def test_every_constructor_checks_the_columns(self):
-        d = DistrictRecord("1", "A", 10, 5, 10, 5, "green")
+        d = ("1", "A", 10, 5, 10, 5, "green")
         with pytest.raises(ValidationError, match="duplicate district_id '1'"):
-            ElectionDataset((d, d))
-        ds = ElectionDataset((d,))
+            dataset_of((d, d))
+        with pytest.raises(ValidationError, match="columns differ in length"):
+            ElectionDataset(("1", "2"), ("A", "B"), (10,), (5,), (10,), (5,), ("green",))
+        ds = dataset_of((d,))
+        assert ElectionDataset(*map(list, zip(d))) == ds  # columns are kept as tuples
         with pytest.raises(ValidationError, match="mail votes for candidate exceed"):
             ds.with_mail_c1((11,))
         with pytest.raises(ValidationError, match="bad integer in column mail_c1"):
             ds.with_mail_c1((-1,))
         with pytest.raises(ValidationError, match="bad integer in column mail_c1"):
             ds.with_mail_c1(("5",))
+        with pytest.raises(ValidationError, match="columns differ in length"):
+            ds.with_mail_c1((5, 5))
 
     @pytest.mark.parametrize(
         "value, message",
@@ -92,8 +144,7 @@ class TestRecordEquivalence:
     def test_new_mail_c1_fails_as_under_every_rule(self, value, message):
         # with_mail_c1 checks only the rules mail_c1 can break: the message and
         # the row must be those of the whole column checker
-        records = [DistrictRecord(f"d{i}", "A", 1000, 400, 300, 100, "green") for i in range(6)]
-        ds = ElectionDataset(records)
+        ds = dataset_of([(f"d{i}", "A", 1000, 400, 300, 100, "green") for i in range(6)])
         mail_c1 = (100, 90, 80, value, 301, -5)
         with pytest.raises(ValidationError) as fast:
             ds.with_mail_c1(mail_c1)
@@ -107,7 +158,7 @@ class TestScenarioColumn:
     @given(districts_strategy, st.booleans(), st.data())
     @settings(max_examples=80)
     def test_only_contested_mail_c1_changes(self, records, include_dubious, data):
-        ds = ElectionDataset(records)
+        ds = dataset_of(records)
         _, red = ds.split(include_dubious)
         capacity = sum(red.mail_total) - sum(red.mail_c1)
         votes = data.draw(st.integers(0, capacity))
@@ -157,13 +208,13 @@ class TestPermutationInvariance:
     def test_analysis_ignores_row_order(self, records, include_dubious, data):
         shuffled = data.draw(st.permutations(records))
         try:
-            result = analyze_dataset(ElectionDataset(records), include_dubious)
+            result = analyze_dataset(dataset_of(records), include_dubious)
         except AuditError as exc:
             with pytest.raises(type(exc)) as again:
-                analyze_dataset(ElectionDataset(shuffled), include_dubious)
+                analyze_dataset(dataset_of(shuffled), include_dubious)
             assert str(again.value) == str(exc)
             return
-        permuted = analyze_dataset(ElectionDataset(shuffled), include_dubious)
+        permuted = analyze_dataset(dataset_of(shuffled), include_dubious)
         assert permuted.report == result.report
         assert permuted.fit.residuals == result.fit.residuals
         assert fingerprint(permuted) == fingerprint(result)
@@ -247,30 +298,6 @@ def small_precinct_csv(path):
 
 
 class TestColumnPath:
-    def test_commands_build_no_records(self, capsys, tmp_path, monkeypatch):
-        path = small_precinct_csv(tmp_path / "precincts.csv")
-        built = []
-        check = DistrictRecord.__post_init__
-
-        def counting(record):
-            built.append(record.district_id)
-            check(record)
-
-        monkeypatch.setattr(DistrictRecord, "__post_init__", counting)
-        commands = [
-            ["analyze", path, "--json"],
-            ["analyze", path, "--include-dubious", "--level", "0.99", "--json"],
-            ["validate", path, "--json"],
-            ["scenario", path, "--out", str(tmp_path / "scenario.csv"), "--json"],
-            ["plot", path, "--votes", "10", "--out", str(tmp_path / "plot.svg"), "--json"],
-            ["calibrate", path, "--reps", "100", "--json"],
-        ]
-        for argv in commands:
-            code, out, _ = run(capsys, *argv)
-            assert code == 0, out
-            assert json.loads(out)["command"] == argv[0]
-        assert built == []
-
     def test_analyze_with_level_splits_once(self, capsys, tmp_path, monkeypatch):
         # the interval reuses the contested side that the analysis built
         path = small_precinct_csv(tmp_path / "precincts.csv")

@@ -2,7 +2,7 @@
 
 import csv
 import io
-from operator import attrgetter
+from dataclasses import astuple
 from unittest import mock
 
 import pytest
@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 from mvaudit.data import (
     HEADER,
     STATUSES,
-    DistrictRecord,
     ElectionDataset,
     ParseError,
     ValidationError,
     aggregate_red,
     load_dataset,
     parse_dataset,
-    partition,
     reversal_threshold,
     serialize_dataset,
 )
 from tests import csv_oracle
+from tests.conftest import dataset_of
 
 HEADER_LINE = ",".join(HEADER)
 
@@ -36,11 +35,10 @@ class TestParse:
     def test_single_row_arithmetic(self):
         ds = parse_dataset(csv_of("10101,ExampleTown,1000,400,200,80,green"))
         assert len(ds) == 1
-        d = ds.districts[0]
-        assert d.mail_c2 == 120
-        assert d.ballot_c2 == 600
-        assert d.total_votes == 1200
-        assert d.c1_votes == 480
+        assert ds.mail_total[0] - ds.mail_c1[0] == 120
+        assert ds.ballot_total[0] - ds.ballot_c1[0] == 600
+        assert ds.ballot_total[0] + ds.mail_total[0] == 1200
+        assert ds.ballot_c1[0] + ds.mail_c1[0] == 480
 
     def test_mail_count_inversion(self):
         with pytest.raises(ParseError) as exc:
@@ -105,7 +103,7 @@ class TestParse:
 
     def test_quoted_name(self):
         ds = parse_dataset(csv_of('1,"Sankt Anna, am Berg",100,40,50,20,green'))
-        assert ds.districts[0].name == "Sankt Anna, am Berg"
+        assert ds.name == ("Sankt Anna, am Berg",)
 
     @pytest.mark.parametrize("rows, line", [(2, 1), (2, 3), (600, 500)])
     def test_invalid_utf8_reports_line(self, tmp_path, rows, line):
@@ -129,39 +127,26 @@ class TestParse:
 
 
 class TestRecordInvariants:
+    """The rules each CSV record (row) must keep, checked when a dataset is built."""
+
     def test_status_checked(self):
         with pytest.raises(ValidationError):
-            DistrictRecord("1", "A", 10, 5, 10, 5, "blue")
+            dataset_of([("1", "A", 10, 5, 10, 5, "blue")])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
-            DistrictRecord("1", "A", 10, -1, 10, 5, "green")
-
-    def test_shares_guarded_for_zero_totals(self):
-        d = DistrictRecord("1", "A", 0, 0, 0, 0, "green")
-        assert d.ballot_share is None
-        assert d.mail_share is None
-
-    def test_shares_within_unit_interval(self, dataset):
-        for d in dataset:
-            assert 0.0 <= d.ballot_share <= 1.0
-            assert 0.0 <= d.mail_share <= 1.0
+            dataset_of([("1", "A", 10, -1, 10, 5, "green")])
 
     def test_duplicate_ids_rejected_at_dataset(self):
-        d = DistrictRecord("1", "A", 10, 5, 10, 5, "green")
+        d = ("1", "A", 10, 5, 10, 5, "green")
         with pytest.raises(ValidationError):
-            ElectionDataset((d, d))
+            dataset_of((d, d))
 
 
+# one valid CSV row: (district_id, name, ballot_total, ballot_c1, mail_total, mail_c1, status)
 district_strategy = st.builds(
-    lambda i, b, vb_frac, m, vm_frac, status: DistrictRecord(
-        district_id=f"h{i:04d}",
-        name=f"Hyp {i}",
-        ballot_total=b,
-        ballot_c1=int(b * vb_frac),
-        mail_total=m,
-        mail_c1=int(m * vm_frac),
-        status=status,
+    lambda i, b, vb_frac, m, vm_frac, status: (
+        f"h{i:04d}", f"Hyp {i}", b, int(b * vb_frac), m, int(m * vm_frac), status
     ),
     i=st.integers(0, 9999),
     b=st.integers(0, 10_000),
@@ -174,11 +159,11 @@ district_strategy = st.builds(
 
 class TestRoundTripProperty:
     @given(
-        st.lists(district_strategy, min_size=0, max_size=25, unique_by=lambda d: d.district_id)
+        st.lists(district_strategy, min_size=0, max_size=25, unique_by=lambda d: d[0])
     )
     @settings(max_examples=60)
     def test_parse_serialize_parse(self, districts):
-        ds = ElectionDataset(tuple(districts))
+        ds = dataset_of(districts)
         text = serialize_dataset(ds)
         assert parse_dataset(text) == ds
         assert serialize_dataset(parse_dataset(text)) == text
@@ -266,10 +251,7 @@ class TestParserOracle:
             assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
             return
         ds = parse_dataset(text)
-        assert [
-            (d.district_id, d.name, d.ballot_total, d.ballot_c1, d.mail_total, d.mail_c1, d.status)
-            for d in ds
-        ] == expected.rows
+        assert list(zip(*astuple(ds))) == expected.rows
         assert ds.margin_official == expected.margin_official
 
     @given(
@@ -353,7 +335,7 @@ class TestSplitPath:
         expected = csv_oracle.parse(text).rows
         with mock.patch("mvaudit.data.csv.reader", side_effect=AssertionError("csv.reader ran")):
             assert load_dataset(fixture_csv_path) == dataset
-            assert list(map(attrgetter(*HEADER), parse_dataset(text))) == expected
+            assert list(zip(*astuple(parse_dataset(text)))) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -374,46 +356,47 @@ class TestSplitPath:
 
 
 class TestPartition:
+    """``ElectionDataset.split``: the accepted and contested sides of the districts."""
+
     def test_fixture_partitions(self, dataset):
-        green, red = partition(dataset)
+        green, red = dataset.split()
         assert (len(green), len(red)) == (106, 11)
-        green, red = partition(dataset, include_dubious_as_red=True)
+        green, red = dataset.split(include_dubious_as_red=True)
         assert (len(green), len(red)) == (103, 14)
 
     def test_no_drop_no_duplicate(self, dataset):
         for flag in (False, True):
-            green, red = partition(dataset, include_dubious_as_red=flag)
-            ids = sorted(d.district_id for d in green + red)
-            assert ids == sorted(d.district_id for d in dataset)
+            green, red = dataset.split(include_dubious_as_red=flag)
+            ids = sorted(green.district_id + red.district_id)
+            assert ids == sorted(dataset.district_id)
 
     def test_no_dubious_means_flag_is_noop(self):
         ds = parse_dataset(csv_of("1,A,100,40,50,20,green", "2,B,100,40,50,20,red"))
-        assert partition(ds, False) == partition(ds, True)
+        assert ds.split(False) == ds.split(True)
 
 
 class TestAggregateRed:
     def test_fixture_totals(self, dataset):
-        _, red = partition(dataset)
+        _, red = dataset.split()
         totals = aggregate_red(red)
         assert totals.mail_c1 == 34479
         assert totals.mail_total == 77769
 
     def test_single_district(self):
-        d = DistrictRecord("1", "A", 10, 4, 6, 2, "red")
-        assert tuple(aggregate_red([d])) == (4, 6, 2)
+        assert tuple(aggregate_red(dataset_of([("1", "A", 10, 4, 6, 2, "red")]))) == (4, 6, 2)
 
     def test_permutation_invariant(self, dataset):
-        _, red = partition(dataset)
-        assert aggregate_red(red) == aggregate_red(tuple(reversed(red)))
+        _, red = dataset.split()
+        assert aggregate_red(red) == aggregate_red(dataset_of(reversed(list(zip(*astuple(red))))))
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate_red([])
+            aggregate_red(dataset_of([]))
 
 
 class TestReversalThreshold:
     def test_fixture(self, dataset):
-        _, red = partition(dataset)
+        _, red = dataset.split()
         assert reversal_threshold(dataset, red) == 49911
         assert dataset.margin_official == 30863
 
@@ -421,12 +404,12 @@ class TestReversalThreshold:
         # margin 2: half rounded up is 1; a strict win needs one more
         ds = parse_dataset(csv_of("1,A,100,49,20,10,red"))
         assert ds.margin_official == 2
-        _, red = partition(ds)
+        _, red = ds.split()
         assert reversal_threshold(ds, red) == 11
         assert reversal_threshold(ds, red, strict=True) == 12
 
     def test_odd_margin_strictness_agrees(self, dataset):
-        _, red = partition(dataset)
+        _, red = dataset.split()
         assert reversal_threshold(dataset, red) == reversal_threshold(dataset, red, strict=True)
 
     def test_exact_at_margin_beyond_float_precision(self):
@@ -434,12 +417,12 @@ class TestReversalThreshold:
         margin = 2**53 + 1
         ds = parse_dataset(csv_of(f"1,A,{margin},0,0,0,red"))
         assert ds.margin_official == margin
-        _, red = partition(ds)
+        _, red = ds.split()
         assert reversal_threshold(ds, red) == 4503599627370497
         assert reversal_threshold(ds, red, strict=True) == 4503599627370497
 
     def test_requires_candidate2_lead(self):
         ds = parse_dataset(csv_of("1,A,100,80,20,10,red"))
-        _, red = partition(ds)
+        _, red = ds.split()
         with pytest.raises(ValidationError, match="margin"):
             reversal_threshold(ds, red)

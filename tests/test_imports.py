@@ -1,6 +1,7 @@
 """Module boundaries of the library and what its start-up loads."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -89,3 +90,16 @@ def test_cli_starts_openblas_with_one_thread(fixture_csv_path):
 
 def test_cli_keeps_a_preset_openblas_thread_count(fixture_csv_path):
     assert run_python(BLAS_PROBE, str(fixture_csv_path), OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_every_exported_name_resolves():
+    # a name removed from a module must leave its export lists too
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], name
+    namespace = {}
+    exec("from mvaudit import *", namespace)
+    assert set(mvaudit.__all__) <= set(namespace)

@@ -1,20 +1,21 @@
 """Model simulation and calibration of the standardized statistic."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvaudit.data import DistrictRecord, ElectionDataset, aggregate_red, partition
+from mvaudit.data import aggregate_red
 from mvaudit import montecarlo
 from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
     BLOCK_ELEMENTS,
     BLOCK_ROWS,
     ModelParameters,
+    _float_columns,
     _mail_counts,
     _standard_normals,
     calibrate,
@@ -24,28 +25,18 @@ from mvaudit.montecarlo import (
 from mvaudit.prediction import analyze_dataset, reversal_probability
 from mvaudit.wls import fit_through_origin
 from tests import mc_oracle
-from tests.conftest import make_random_dataset
+from tests.conftest import dataset_of, make_random_dataset
 
 # slope chosen so model means sit mid-range of the mail totals
 PARAMS = ModelParameters(k=0.3, sigma=3.0)
 
 
 def small_template(n_green=8, n_red=3):
-    districts = []
-    for i in range(n_green + n_red):
-        status = "green" if i < n_green else "red"
-        districts.append(
-            DistrictRecord(
-                district_id=f"m{i:03d}",
-                name=f"M{i}",
-                ballot_total=4000 + 137 * i,
-                ballot_c1=1800 + 61 * i,
-                mail_total=900 + 45 * i,
-                mail_c1=0,
-                status=status,
-            )
-        )
-    return ElectionDataset(tuple(districts))
+    return dataset_of(
+        (f"m{i:03d}", f"M{i}", 4000 + 137 * i, 1800 + 61 * i, 900 + 45 * i, 0,
+         "green" if i < n_green else "red")
+        for i in range(n_green + n_red)
+    )
 
 
 class TestSimulateElection:
@@ -61,21 +52,18 @@ class TestSimulateElection:
         template = small_template()
         tiny = ModelParameters(k=0.8, sigma=1e-9)
         simulated = simulate_election(template, tiny, seed=1)
-        for before, after in zip(template, simulated):
-            expected = min(round(0.8 * before.ballot_c1), before.mail_total)
-            assert after.mail_c1 == expected
+        for ballot_c1, mail_total, mail_c1 in zip(
+            template.ballot_c1, template.mail_total, simulated.mail_c1
+        ):
+            expected = min(round(0.8 * ballot_c1), mail_total)
+            assert mail_c1 == expected
 
     def test_only_mail_c1_changes(self, dataset):
         simulated = simulate_election(dataset, ModelParameters(k=0.18, sigma=7.0), seed=5)
-        for before, after in zip(dataset, simulated):
-            assert (before.district_id, before.ballot_total, before.ballot_c1) == (
-                after.district_id,
-                after.ballot_total,
-                after.ballot_c1,
-            )
-            assert before.mail_total == after.mail_total
-            assert before.status == after.status
-            assert 0 <= after.mail_c1 <= after.mail_total
+        for column in ("district_id", "ballot_total", "ballot_c1", "mail_total", "status"):
+            assert getattr(dataset, column) == getattr(simulated, column)
+        for mail_c1, mail_total in zip(simulated.mail_c1, simulated.mail_total):
+            assert 0 <= mail_c1 <= mail_total
 
     def test_district_stream_offsets(self):
         # district i's noise depends only on (seed, replication, i): a prefix
@@ -106,8 +94,8 @@ class TestSimulateElection:
         # districts the sample variance of mail_c1 approaches sigma^2 * m
         params = ModelParameters(k=0.18, sigma=7.0)
         n_reps = 10_000
-        counts, _ = _mail_counts(dataset, params, seed=11, replications=range(n_reps))
-        mail_totals = np.array([d.mail_total for d in dataset])
+        counts, _ = _mail_counts(_float_columns(dataset), params, 11, range(n_reps))
+        mail_totals = np.array(dataset.mail_total)
         largest = np.argsort(mail_totals)[-5:]
         for i in largest:
             sample_var = counts[:, i].var(ddof=1)
@@ -144,19 +132,20 @@ class TestCalibrate:
     def test_extreme_sigma_counts_failures(self):
         # a noise-free two-district accepted side fits exactly: sigma2 == 0,
         # every replication is counted as failed and the report stays formed
-        districts = (
-            DistrictRecord("g1", "G1", 1000, 500, 400, 0, "green"),
-            DistrictRecord("g2", "G2", 1000, 250, 400, 0, "green"),
-            DistrictRecord("r1", "R1", 1000, 400, 400, 0, "red"),
+        template = dataset_of(
+            (
+                ("g1", "G1", 1000, 500, 400, 0, "green"),
+                ("g2", "G2", 1000, 250, 400, 0, "green"),
+                ("r1", "R1", 1000, 400, 400, 0, "red"),
+            )
         )
-        template = ElectionDataset(districts)
         report = calibrate(template, ModelParameters(k=0.5, sigma=1e-9), 100, seed=3)
         assert report.failed_replications == 100
         assert report.t_stats == ()
         assert math.isnan(report.ks_distance)
 
     def test_loose_ks_on_small_run(self, dataset):
-        green, _ = partition(dataset)
+        green, _ = dataset.split()
         fit = fit_through_origin(green)
         params = ModelParameters(k=fit.slope, sigma=math.sqrt(fit.sigma2))
         report = calibrate(dataset, params, replications=400, seed=20160522)
@@ -172,9 +161,9 @@ class TestCalibrate:
         blocks = []
         mail_counts = montecarlo._mail_counts
 
-        def recording(ds, params, seed, replications):
+        def recording(columns, params, seed, replications):
             blocks.append(replications)
-            return mail_counts(ds, params, seed, replications)
+            return mail_counts(columns, params, seed, replications)
 
         monkeypatch.setattr(montecarlo, "_mail_counts", recording)
         report = calibrate(ds, PARAMS, replications=100, seed=4)
@@ -184,6 +173,26 @@ class TestCalibrate:
         blocks.clear()
         assert calibrate(ds, PARAMS, replications=100, seed=4) == report
         assert blocks == [range(100)]
+
+    def test_wide_dataset_converts_columns_once(self, monkeypatch):
+        # one-row blocks must not turn the whole columns into arrays again per block
+        ds = make_random_dataset(np.random.default_rng(5), n_green=2900, n_red=100)
+        array = np.array
+        conversions = []
+
+        def counting(obj, *args, **kwargs):
+            if isinstance(obj, tuple) and len(obj) == len(ds):
+                conversions.append(len(obj))
+            return array(obj, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", len(ds))
+        monkeypatch.setattr(np, "array", counting)
+        counts = []
+        for reps in (100, 200):
+            conversions.clear()
+            calibrate(ds, PARAMS, replications=reps, seed=4)
+            counts.append(len(conversions))
+        assert counts[0] == counts[1] > 0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(AuditError):
@@ -211,13 +220,13 @@ class TestAnalysisPathAgreement:
             n_dubious=int(rng.integers(0, 3)),
         )
         # a green district without mail votes is left out of the fit and its dof
-        ds = ElectionDataset((replace(ds.districts[0], mail_total=0, mail_c1=0), *ds.districts[1:]))
+        ds = replace(ds, mail_total=(0, *ds.mail_total[1:]), mail_c1=(0, *ds.mail_c1[1:]))
         assume(ds.margin_official > 0)
         params = ModelParameters(k=float(rng.uniform(0.02, 0.5)), sigma=float(rng.uniform(0.5, 10.0)))
 
         outcome = replicate_once(ds, params, seed, replication, include_dubious=include_dubious)
         simulated = simulate_election(ds, params, seed, replication)
-        green, red = partition(simulated, include_dubious_as_red=include_dubious)
+        green, red = simulated.split(include_dubious)
         realized = aggregate_red(red).mail_c1
         report = reversal_probability(fit_through_origin(green), red, threshold=realized)
         assert outcome.red_mail_c1 == realized
@@ -230,13 +239,13 @@ class TestAnalysisPathAgreement:
 def noise_free_template():
     # the two fitted accepted districts lie exactly on the model line, so
     # every replication fits with sigma2 == 0 and fails
-    return ElectionDataset(
+    return dataset_of(
         (
-            DistrictRecord("g1", "G1", 1000, 500, 400, 0, "green"),
-            DistrictRecord("g2", "G2", 1000, 250, 400, 0, "green"),
-            DistrictRecord("g3", "G3", 1000, 300, 0, 0, "green"),
-            DistrictRecord("d1", "D1", 1000, 100, 300, 0, "dubious"),
-            DistrictRecord("r1", "R1", 1000, 400, 400, 0, "red"),
+            ("g1", "G1", 1000, 500, 400, 0, "green"),
+            ("g2", "G2", 1000, 250, 400, 0, "green"),
+            ("g3", "G3", 1000, 300, 0, 0, "green"),
+            ("d1", "D1", 1000, 100, 300, 0, "dubious"),
+            ("r1", "R1", 1000, 400, 400, 0, "red"),
         )
     )
 
@@ -289,18 +298,15 @@ class TestScalarOracleAgreement:
                 n_red=int(rng.integers(1, 5)),
                 n_dubious=int(rng.integers(0, 3)),
             )
-            districts = list(ds.districts)
+            rows = [list(row) for row in zip(*astuple(ds))]
             # a green district without mail votes is left out of every fit
-            districts[0] = replace(districts[0], mail_total=0, mail_c1=0)
+            rows[0][4:6] = 0, 0
             if case in BIG_ROWS:
                 # max(ballot_c1) * max(mail_total) over the fitted rows decides
                 # whether the s_xy terms may be computed in floats
                 big_ballot, big_mail = BIG_ROWS[case]
-                districts[1] = replace(
-                    districts[1], ballot_total=big_ballot, ballot_c1=big_ballot,
-                    mail_total=big_mail, mail_c1=0,
-                )
-            ds = ElectionDataset(districts)
+                rows[1][2:6] = big_ballot, big_ballot, big_mail, 0
+            ds = dataset_of(rows)
             params = ModelParameters(
                 k=float(rng.uniform(0.02, 0.5)), sigma=float(rng.uniform(0.5, 10.0))
             )

@@ -8,37 +8,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvaudit.data import DistrictRecord, partition
 from mvaudit.errors import AuditError
 from mvaudit.prediction import analyze_dataset, prediction_interval, reversal_probability
 from mvaudit.wls import fit_through_origin
-from tests.conftest import make_random_dataset
+from tests.conftest import dataset_of, make_random_dataset
 
 P11 = 1.322065e-10
 P14 = 5.151422e-8
 
 
 def district(i, ballot_c1, mail_total, mail_c1, status="green"):
-    return DistrictRecord(
-        district_id=f"p{i:03d}",
-        name=f"P{i}",
-        ballot_total=2 * ballot_c1 + 10,
-        ballot_c1=ballot_c1,
-        mail_total=mail_total,
-        mail_c1=mail_c1,
-        status=status,
-    )
+    """One CSV row; ``dataset_of`` builds a dataset of such rows."""
+    return (f"p{i:03d}", f"P{i}", 2 * ballot_c1 + 10, ballot_c1, mail_total, mail_c1, status)
 
 
 @pytest.fixture()
 def small_fit():
     greens = [district(1, 100, 50, 40), district(2, 200, 100, 85), district(3, 150, 60, 58)]
-    return fit_through_origin(greens)
+    return fit_through_origin(dataset_of(greens))
 
 
 @pytest.fixture()
 def small_red():
-    return (district(9, 120, 80, 30, status="red"),)
+    return dataset_of([district(9, 120, 80, 30, status="red")])
 
 
 class TestReversalProbability:
@@ -74,7 +66,7 @@ class TestReversalProbability:
         # thresholds `gap` prediction sds from the prediction: t of both signs,
         # out to tails whose value underflows while log_value stays finite
         rng = np.random.default_rng(data_seed)
-        green, red = partition(make_random_dataset(rng, n_green, int(rng.integers(1, 5))))
+        green, red = make_random_dataset(rng, n_green, int(rng.integers(1, 5))).split()
         fit = fit_through_origin(green)
         assume(fit.sigma2 > 0.0)
         centre = reversal_probability(fit, red, 0.0)
@@ -104,7 +96,7 @@ class TestReversalProbability:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_degenerate_fit_flagged(self, small_red):
-        exact = [district(1, 100, 50, 40), district(2, 200, 100, 80)]
+        exact = dataset_of([district(1, 100, 50, 40), district(2, 200, 100, 80)])
         fit = fit_through_origin(exact)
         assert fit.sigma2 == 0.0
         hi = reversal_probability(fit, small_red, 1_000_000.0)
@@ -165,7 +157,7 @@ class TestPredictionInterval:
         # the upper endpoint of the level-lambda interval is exactly the
         # threshold whose reversal probability is (1 - lambda)/2
         result = analyze_dataset(dataset)
-        _, red = partition(dataset)
+        _, red = dataset.split()
         interval = prediction_interval(result.fit, red, level)
         report = reversal_probability(result.fit, red, interval.upper)
         assert report.p_reversal.value == pytest.approx((1.0 - level) / 2.0, abs=1e-9)
@@ -173,7 +165,7 @@ class TestPredictionInterval:
     def test_threshold_far_outside_high_interval(self, dataset):
         # consistency with p ~ 1.3e-10: 49911 lies above even the 99.999% band
         result = analyze_dataset(dataset)
-        _, red = partition(dataset)
+        _, red = dataset.split()
         interval = prediction_interval(result.fit, red, 0.99999)
         assert interval.upper < 49911
         assert interval.lower < 34479 < interval.upper
@@ -184,6 +176,6 @@ class TestPredictionInterval:
             prediction_interval(small_fit, small_red, level)
 
     def test_degenerate_fit_rejected(self, small_red):
-        fit = fit_through_origin([district(1, 100, 50, 40), district(2, 200, 100, 80)])
+        fit = fit_through_origin(dataset_of([district(1, 100, 50, 40), district(2, 200, 100, 80)]))
         with pytest.raises(AuditError, match="degenerate"):
             prediction_interval(fit, small_red, 0.5)

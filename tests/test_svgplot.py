@@ -3,8 +3,9 @@
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape  # oracle for the text escaping
 
-from mvaudit.data import DistrictRecord, ElectionDataset, parse_dataset
+from mvaudit.data import parse_dataset
 from mvaudit.svgplot import render_scatter
+from tests.conftest import dataset_of
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,11 +73,8 @@ class TestRenderScatter:
 
     def test_markup_characters_escaped_like_saxutils(self):
         name, title = """Gross & <Klein> "Ober" 'Unter'""", """Shares & <odds> "a" 'b'"""
-        ds = ElectionDataset(
-            (
-                DistrictRecord("1", name, 1000, 400, 200, 80, "green"),
-                DistrictRecord("2", "B", 1000, 500, 200, 90, "red"),
-            )
+        ds = dataset_of(
+            (("1", name, 1000, 400, 200, 80, "green"), ("2", "B", 1000, 500, 200, 90, "red"))
         )
         svg = render_scatter(ds, title=title)
         assert f"<title>{escape(name)}</title>" in svg

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvaudit.data import DistrictRecord, partition
 from mvaudit.wls import InsufficientDataError, RankDeficiencyError, fit_through_origin
+from tests.conftest import dataset_of
 from tests.wls_oracle import GeneralWlsProblem, as_general_problem, solve_general
 
 
@@ -99,20 +99,15 @@ class TestSolveGeneral:
 
 
 def district(i, ballot_c1, mail_total, mail_c1, status="green", ballot_total=None):
-    return DistrictRecord(
-        district_id=f"t{i:03d}",
-        name=f"T{i}",
-        ballot_total=ballot_total or max(2 * ballot_c1, 1),
-        ballot_c1=ballot_c1,
-        mail_total=mail_total,
-        mail_c1=mail_c1,
-        status=status,
-    )
+    """One CSV row; ``dataset_of`` builds a dataset of such rows."""
+    return (f"t{i:03d}", f"T{i}", ballot_total or max(2 * ballot_c1, 1), ballot_c1,
+            mail_total, mail_c1, status)
 
 
 class TestFitThroughOrigin:
     def test_exact_line(self):
-        fit = fit_through_origin([district(1, 100, 50, 40), district(2, 200, 100, 80)])
+        exact = dataset_of([district(1, 100, 50, 40), district(2, 200, 100, 80)])
+        fit = fit_through_origin(exact)
         assert fit.slope == pytest.approx(0.4, rel=1e-15)
         assert fit.sigma2 == pytest.approx(0.0, abs=1e-20)
         assert fit.dof == 1
@@ -120,22 +115,22 @@ class TestFitThroughOrigin:
 
     def test_single_district_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            fit_through_origin([district(1, 100, 50, 40)])
+            fit_through_origin(dataset_of([district(1, 100, 50, 40)]))
 
     def test_all_zero_regressor(self):
         with pytest.raises(RankDeficiencyError):
-            fit_through_origin([district(1, 0, 50, 10), district(2, 0, 60, 12)])
+            fit_through_origin(dataset_of([district(1, 0, 50, 10), district(2, 0, 60, 12)]))
 
     def test_zero_mail_districts_excluded(self):
         fit = fit_through_origin(
-            [district(1, 100, 50, 40), district(2, 200, 100, 80), district(3, 150, 0, 0)]
+            dataset_of([district(1, 100, 50, 40), district(2, 200, 100, 80), district(3, 150, 0, 0)])
         )
         assert fit.excluded == ("t003",)
         assert fit.n_used == 2
         assert fit.dof == 1
 
     def test_matches_general_solver_on_fixture(self, dataset):
-        green, _ = partition(dataset)
+        green, _ = dataset.split()
         fit = fit_through_origin(green)
         general = solve_general(as_general_problem(green))
         assert fit.slope == pytest.approx(float(general.beta[0]), rel=1e-12)
@@ -153,29 +148,28 @@ class TestFitThroughOrigin:
                 vb = int(rng.integers(1, 5000))
                 vm = int(rng.integers(0, m + 1))
                 districts.append(district(i, vb, m, vm))
-            fit = fit_through_origin(districts)
-            general = solve_general(as_general_problem(districts))
+            ds = dataset_of(districts)
+            fit = fit_through_origin(ds)
+            general = solve_general(as_general_problem(ds))
             assert fit.slope == pytest.approx(float(general.beta[0]), rel=1e-12)
             assert fit.sigma2 == pytest.approx(general.sigma2, rel=1e-12, abs=1e-18)
 
     def test_weighted_residual_orthogonality(self, dataset):
-        green, _ = partition(dataset)
+        green, _ = dataset.split()
         fit = fit_through_origin(green)
         terms = [
-            d.ballot_c1 * fit.residuals[d.district_id] / d.mail_total
-            for d in green
-            if d.mail_total > 0
+            ballot_c1 * fit.residuals[district_id] / mail_total
+            for district_id, ballot_c1, mail_total in zip(
+                green.district_id, green.ballot_c1, green.mail_total
+            )
+            if mail_total > 0
         ]
         scale = sum(abs(t) for t in terms)
         assert abs(math.fsum(terms)) <= 1e-9 * scale
 
     def test_scale_equivariance(self):
         base = [district(i, 50 * (i + 1), 1000, 60 + 17 * i) for i in range(6)]
-        tripled = [
-            DistrictRecord(d.district_id, d.name, d.ballot_total, d.ballot_c1,
-                           d.mail_total, 3 * d.mail_c1, d.status)
-            for d in base
-        ]
-        f1, f3 = fit_through_origin(base), fit_through_origin(tripled)
+        tripled = [(*d[:5], 3 * d[5], d[6]) for d in base]
+        f1, f3 = fit_through_origin(dataset_of(base)), fit_through_origin(dataset_of(tripled))
         assert f3.slope == pytest.approx(3.0 * f1.slope, rel=1e-12)
         assert f3.sigma2 == pytest.approx(9.0 * f1.sigma2, rel=1e-12)

@@ -9,11 +9,9 @@ equations in ``tests/test_wls.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from mvaudit.data import DistrictRecord
+from mvaudit.data import ElectionDataset
 from mvaudit.wls import InsufficientDataError, RankDeficiencyError
 
 _PIVOT_RTOL = 1e-12
@@ -77,11 +75,11 @@ def solve_general(problem: GeneralWlsProblem) -> GeneralWlsFit:
     return GeneralWlsFit(beta=beta, sigma2=sigma2, cov_beta=cov_beta, dof=dof, residuals=residuals)
 
 
-def as_general_problem(districts: Sequence[DistrictRecord]) -> GeneralWlsProblem:
+def as_general_problem(ds: ElectionDataset) -> GeneralWlsProblem:
     """The through-origin fit expressed as a 1-column general problem."""
-    used = [d for d in districts if d.mail_total > 0]
+    used = [i for i, m in enumerate(ds.mail_total) if m > 0]
     return GeneralWlsProblem(
-        X=np.array([[float(d.ballot_c1)] for d in used]),
-        y=np.array([float(d.mail_c1) for d in used]),
-        w=np.array([float(d.mail_total) for d in used]),
+        X=np.array([[float(ds.ballot_c1[i])] for i in used]),
+        y=np.array([float(ds.mail_c1[i]) for i in used]),
+        w=np.array([float(ds.mail_total[i]) for i in used]),
     )
