@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .data import contested_statuses, half_margin, load_dataset, serialize_dataset
@@ -30,8 +29,17 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float as None: JSON has no NaN or infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    return list(map(_finite, obj)) if isinstance(obj, (list, tuple)) else obj
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _error(message: str, as_json: bool, kind: str = "data") -> int:
@@ -185,11 +193,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         ds, params, replications=args.reps, seed=args.seed, include_dubious=args.include_dubious
     )
     if args.json:
-        payload = asdict(report)
+        payload = report._asdict()
         payload["command"] = "calibrate"
         payload["model_k"] = params.k
         payload["model_sigma"] = params.sigma
-        payload["t_stats"] = list(payload["t_stats"])
         payload["quantile_errors"] = {str(k_): v for k_, v in report.quantile_errors.items()}
         _print_json(payload)
         return 0

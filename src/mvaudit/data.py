@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, le, not_
@@ -132,12 +131,11 @@ def _check(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) 
     raise ValidationError(_fault(tuple(c[:bad] for c in columns), new), bad - 1)
 
 
-@dataclass(frozen=True)
 class ElectionDataset:
     """Immutable, validated districts in file order, one tuple per CSV column.
 
     Building one checks the columns: a ValidationError names the first row
-    that breaks a rule.
+    that breaks a rule.  Datasets are equal when their columns are.
     """
 
     district_id: tuple[str, ...]
@@ -148,10 +146,26 @@ class ElectionDataset:
     mail_c1: tuple[int, ...]
     status: tuple[str, ...]
 
-    def __post_init__(self):
-        columns = tuple(map(tuple, _FIELDS(self)))
+    def __init__(self, district_id, name, ballot_total, ballot_c1, mail_total, mail_c1, status):
+        columns = (district_id, name, ballot_total, ballot_c1, mail_total, mail_c1, status)
+        columns = tuple(map(tuple, columns))
         _check(columns)
         self.__dict__.update(zip(HEADER, columns))
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot change {name!r}: an ElectionDataset is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = isinstance(other, ElectionDataset)
+        return _FIELDS(self) == _FIELDS(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_FIELDS(self))
+
+    def __repr__(self) -> str:
+        return f"ElectionDataset({', '.join(map('{}={!r}'.format, HEADER, _FIELDS(self)))})"
 
     @classmethod
     def _of(cls, columns: tuple[tuple, ...]) -> ElectionDataset:

@@ -27,7 +27,6 @@ the package skips it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul, truediv
 from typing import NamedTuple
 
@@ -55,18 +54,17 @@ BLOCK_ROWS = 256
 BLOCK_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
-class ModelParameters:
+class ModelParameters(NamedTuple("ModelParameters", [("k", float), ("sigma", float)])):
     """True slope and noise scale of the generating model."""
 
-    k: float
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise AuditError(f"sigma must be positive, got {self.sigma!r}")
-        if not math.isfinite(self.k):
-            raise AuditError(f"k must be finite, got {self.k!r}")
+    def __new__(cls, k: float, sigma: float):
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise AuditError(f"sigma must be positive, got {sigma!r}")
+        if not math.isfinite(k):
+            raise AuditError(f"k must be finite, got {k!r}")
+        return super().__new__(cls, k, sigma)
 
 
 def _standard_normals(seed: int, replications: range, n: int) -> np.ndarray:
@@ -145,12 +143,13 @@ def _replications(
     """
     import numpy as np
     contested = contested_statuses(include_dubious)
-    red = [i for i, s in enumerate(ds.status) if s in contested]
+    red = np.array([i for i, s in enumerate(ds.status) if s in contested], dtype=np.intp)
     used = [
         i for i, (s, m) in enumerate(zip(ds.status, ds.mail_total)) if s not in contested and m > 0
     ]
     ballot_c1 = [ds.ballot_c1[i] for i in used]
     mail_total = [ds.mail_total[i] for i in used]
+    used = np.array(used, dtype=np.intp)  # a list would be converted again on every block
     columns = _float_columns(ds)
     ballot_c1_f, mail_total_f = columns[0][used], columns[1][used]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
@@ -211,8 +210,7 @@ def replicate_once(
     return outcome
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """Empirical distribution of the pipeline t-statistic under the model.
 
     t_stats holds one entry per successful replication, in replication

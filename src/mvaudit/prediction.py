@@ -10,7 +10,8 @@ Student-t statistic whose upper tail is the reversal probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
 from .data import ElectionDataset, RedTotals, aggregate_red, reversal_threshold
 from .errors import AuditError
 from .special import TailProbability, student_t_quantile, student_t_sf
@@ -26,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReversalReport:
+class ReversalReport(NamedTuple):
     """Everything behind one reversal probability, aggregates included."""
 
     red_ballot_c1: int
@@ -43,8 +43,7 @@ class ReversalReport:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
+class PredictionInterval(NamedTuple):
     level: float
     lower: float
     upper: float
@@ -118,16 +117,10 @@ def prediction_interval(
         raise AuditError("degenerate fit (sigma2 == 0) has no prediction interval")
     prediction, pred_sd, _ = _standardize(fit.slope, fit.sigma2, fit.s_xx, aggregate_red(red), 0.0)
     halfwidth = student_t_quantile(0.5 * (1.0 + level), fit.dof) * pred_sd
-    return PredictionInterval(
-        level=level,
-        lower=prediction - halfwidth,
-        upper=prediction + halfwidth,
-        point_prediction=prediction,
-    )
+    return PredictionInterval(level, prediction - halfwidth, prediction + halfwidth, prediction)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Full pipeline output: partition sizes, fit, reversal report, contested districts."""
 
     n_green: int
@@ -135,7 +128,7 @@ class AnalysisResult:
     margin_official: int
     fit: RegressionFit
     report: ReversalReport
-    red: ElectionDataset = field(compare=False, repr=False)
+    red: ElectionDataset
 
 
 def analyze_dataset(
@@ -147,11 +140,4 @@ def analyze_dataset(
     threshold = reversal_threshold(ds, red, strict=strict)
     variant = "M14" if include_dubious else "M11"
     report = reversal_probability(fit, red, threshold, variant=variant)
-    return AnalysisResult(
-        n_green=len(green),
-        n_red=len(red),
-        margin_official=ds.margin_official,
-        fit=fit,
-        report=report,
-        red=red,
-    )
+    return AnalysisResult(len(green), len(red), ds.margin_official, fit, report, red)

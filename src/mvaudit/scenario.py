@@ -9,9 +9,9 @@ reassigned vote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, sub
+from typing import NamedTuple
 
 from .data import ElectionDataset
 from .errors import AuditError
@@ -33,8 +33,7 @@ class CapacityError(AuditError):
         )
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     modified: ElectionDataset
     votes_moved: dict[str, int]
     total_moved: int

@@ -10,8 +10,8 @@ the only dependency is the Python standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "DomainError",
@@ -58,20 +58,19 @@ _LANCZOS_G = 671.0 / 128.0
 _SQRT_TWO_PI = 2.5066282746310005
 
 
-@dataclass(frozen=True)
-class TailProbability:
+class TailProbability(NamedTuple("TailProbability", [("value", float), ("log_value", float)])):
     """An upper-tail probability with its log-space companion.
 
     ``value`` may underflow to 0.0 for extreme tails; ``log_value`` stays
     finite as long as the mathematical probability is positive.
     """
 
-    value: float
-    log_value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise DomainError(f"tail probability {self.value!r} outside [0, 1]")
+    def __new__(cls, value: float, log_value: float):
+        if not (0.0 <= value <= 1.0):
+            raise DomainError(f"tail probability {value!r} outside [0, 1]")
+        return super().__new__(cls, value, log_value)
 
     @property
     def log10(self) -> float:

@@ -11,7 +11,7 @@ in these coordinates.
 
 from __future__ import annotations
 
-from html import escape
+import re
 
 from .data import ElectionDataset
 
@@ -21,6 +21,12 @@ _W, _H = 640, 640
 _ML, _MR, _MT, _MB = 70, 30, 50, 60  # plot frame margins
 _GREEN = "#2e7d32"
 _RED = "#c62828"
+
+
+def _escape(text: str) -> str:
+    """Text as SVG character data; a character XML 1.0 forbids becomes U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)
 
 
 def _sx(pct: float) -> float:
@@ -75,7 +81,7 @@ def render_scatter(
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="28" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{escape(title, quote=False)}</text>',
+        f'font-size="16">{_escape(title)}</text>',
     ]
     # frame, grid, ticks
     parts.append(
@@ -139,7 +145,7 @@ def render_scatter(
             parts.append(
                 f'<circle class="{cls}" cx="{_sx(x):.2f}" cy="{_sy(y):.2f}" '
                 f'r="4" fill="{color}" fill-opacity="0.75"{extra}>'
-                f"<title>{escape(name, quote=False)}</title></circle>"
+                f"<title>{_escape(name)}</title></circle>"
             )
 
     # legend (rect swatches so data circles stay countable)
@@ -158,7 +164,7 @@ def render_scatter(
             )
         parts.append(
             f'<text x="{lx + 17}" y="{y}" font-family="sans-serif" font-size="12">'
-            f"{escape(label, quote=False)}</text>"
+            f"{_escape(label)}</text>"
         )
     y = ly + 18 * len(entries)
     parts.append(

@@ -8,9 +8,9 @@ math.fsum, so they are correctly rounded whatever the district order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import mul, not_, sub, truediv
+from typing import NamedTuple
 
 from .data import ElectionDataset
 from .errors import AuditError
@@ -31,8 +31,7 @@ class InsufficientDataError(AuditError):
     """Too few usable observations for the requested fit."""
 
 
-@dataclass
-class RegressionFit:
+class RegressionFit(NamedTuple):
     """Through-origin fit of mail votes on ballot votes, weights 1/mail_total.
 
     slope     least-squares slope of mail_c1 on ballot_c1
@@ -48,7 +47,7 @@ class RegressionFit:
     s_xx: float
     dof: int
     n_used: int
-    residuals: dict[str, float] = field(repr=False)
+    residuals: dict[str, float]
     excluded: tuple[str, ...] = ()
 
     @property
@@ -81,12 +80,4 @@ def fit_through_origin(ds: ElectionDataset) -> RegressionFit:
     n_used = len(ids)
     dof = n_used - 1
     sigma2 = wrss / dof
-    return RegressionFit(
-        slope=slope,
-        sigma2=sigma2,
-        s_xx=s_xx,
-        dof=dof,
-        n_used=n_used,
-        residuals=dict(zip(ids, residuals)),
-        excluded=excluded,
-    )
+    return RegressionFit(slope, sigma2, s_xx, dof, n_used, dict(zip(ids, residuals)), excluded)

@@ -36,6 +36,11 @@ def dataset_of(rows) -> ElectionDataset:
     return ElectionDataset(*(tuple(zip(*rows)) or ((),) * len(HEADER)))
 
 
+def rows_of(ds: ElectionDataset) -> list[tuple]:
+    """The dataset's rows, in order: the inverse of ``dataset_of``."""
+    return list(zip(*(getattr(ds, column) for column in HEADER)))
+
+
 def make_random_dataset(
     rng: np.random.Generator,
     n_green: int = 12,

@@ -19,6 +19,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture()
 def fixture_arg(fixture_csv_path):
     return str(fixture_csv_path)
@@ -65,6 +74,20 @@ def oversized_csv(request, tmp_path):
         encoding="utf-8",
     )
     return str(path), f"line 2: {reason}"
+
+
+@pytest.fixture()
+def exact_fit_csv(tmp_path):
+    # the accepted districts lie on one line through the origin: sigma2 is 0
+    path = tmp_path / "exact_fit.csv"
+    path.write_text(
+        "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+        "1,A,100,40,50,20,green\n"
+        "2,B,100,40,50,20,green\n"
+        "3,C,100,60,50,20,red\n",
+        encoding="utf-8",
+    )
+    return str(path)
 
 
 @pytest.fixture()
@@ -185,6 +208,15 @@ class TestAnalyze:
         assert payload["degenerate"] is True
         assert payload["pred_sd"] == 0.0
         assert payload["p_reversal"] == 0.0
+
+    def test_exact_fit_prints_strict_json(self, capsys, exact_fit_csv):
+        # t and log10 p are infinite; JSON writes them as null, degenerate says why
+        code, out, _ = run(capsys, "analyze", exact_fit_csv, "--json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["degenerate"] is True
+        assert (payload["sigma2"], payload["pred_sd"], payload["p_reversal"]) == (0.0, 0.0, 0.0)
+        assert payload["t_stat"] is None and payload["log10_p_reversal"] is None
 
 
 class TestScenario:
@@ -325,6 +357,17 @@ class TestCalibrate:
         error = json.loads(out)["error"]
         assert error["type"] == "data" and "at least 2 districts" in error["message"]
 
+
+    def test_every_replication_failed_prints_strict_json(self, capsys, exact_fit_csv):
+        # noise too small to move a count: every simulated fit is exact, so
+        # no t statistic is left for the KS distance and the quantiles
+        args = ("calibrate", exact_fit_csv, "--reps", "100", "--k", "0.5", "--sigma", "1e-9")
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        payload = strict_json(out)
+        assert (payload["failed_replications"], payload["t_stats"]) == (100, [])
+        assert payload["ks_distance"] is None
+        assert set(payload["quantile_errors"].values()) == {None}
 
     def test_zero_prediction_sd_exits_one(self, capsys, zero_contested_csv):
         args = ("calibrate", zero_contested_csv, "--reps", "100")

@@ -3,7 +3,6 @@ parser, counts bounded by value, and the precinct-scale command path."""
 
 import json
 import math
-from dataclasses import astuple
 from operator import le
 
 import pytest
@@ -24,7 +23,7 @@ from mvaudit.data import (
 from mvaudit.errors import AuditError
 from mvaudit.prediction import analyze_dataset
 from mvaudit.scenario import build_reversal_scenario
-from tests.conftest import dataset_of
+from tests.conftest import dataset_of, rows_of
 from tests.test_data import district_strategy
 
 COUNT_BOUND = 2**63
@@ -84,7 +83,7 @@ class TestRecordEquivalence:
         parsed = parse_dataset(serialize_dataset(ds))
         assert parsed == ds
         assert parse_dataset(csv_text(records)) == ds
-        assert list(zip(*astuple(parsed))) == records
+        assert rows_of(parsed) == records
         c1 = sum(r[3] + r[5] for r in records)
         c2 = sum((r[2] - r[3]) + (r[4] - r[5]) for r in records)
         assert ds.margin_official == parsed.margin_official == c2 - c1

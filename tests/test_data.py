@@ -2,7 +2,6 @@
 
 import csv
 import io
-from dataclasses import astuple
 from unittest import mock
 
 import pytest
@@ -22,7 +21,7 @@ from mvaudit.data import (
     serialize_dataset,
 )
 from tests import csv_oracle
-from tests.conftest import dataset_of
+from tests.conftest import dataset_of, rows_of
 
 HEADER_LINE = ",".join(HEADER)
 
@@ -251,7 +250,7 @@ class TestParserOracle:
             assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
             return
         ds = parse_dataset(text)
-        assert list(zip(*astuple(ds))) == expected.rows
+        assert rows_of(ds) == expected.rows
         assert ds.margin_official == expected.margin_official
 
     @given(
@@ -335,7 +334,7 @@ class TestSplitPath:
         expected = csv_oracle.parse(text).rows
         with mock.patch("mvaudit.data.csv.reader", side_effect=AssertionError("csv.reader ran")):
             assert load_dataset(fixture_csv_path) == dataset
-            assert list(zip(*astuple(parse_dataset(text)))) == expected
+            assert rows_of(parse_dataset(text)) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -387,7 +386,7 @@ class TestAggregateRed:
 
     def test_permutation_invariant(self, dataset):
         _, red = dataset.split()
-        assert aggregate_red(red) == aggregate_red(dataset_of(reversed(list(zip(*astuple(red))))))
+        assert aggregate_red(red) == aggregate_red(dataset_of(reversed(rows_of(red))))
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError):

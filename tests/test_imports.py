@@ -12,8 +12,9 @@ import mvaudit
 
 SRC = Path(mvaudit.__file__).parent
 
-# modules analyze, validate, scenario and plot have no use for
-HEAVY = ("numpy", "urllib.request", "http.client", "ssl")
+# modules analyze, validate, scenario and plot have no use for; dataclasses
+# (with inspect, ast, dis and tokenize) and html each cost milliseconds of start-up
+HEAVY = ("numpy", "urllib.request", "http.client", "ssl", "dataclasses", "inspect", "html")
 
 # Runs mvaudit commands in this interpreter and prints, as the last line,
 # which of the modules in argv[1] (a JSON list) each step left loaded.
@@ -81,6 +82,7 @@ def test_startup_loads_no_numpy_or_network_stack(fixture_csv_path, tmp_path):
     )
     # montecarlo itself stays loaded: mvbench/replay.py looks it up after importing the CLI
     assert steps["import"] == steps["commands"] == ["mvaudit.montecarlo"]
+    # only calibrate loads numpy, which imports inspect itself
     assert "numpy" in steps["calibrate"]
 
 

@@ -1,7 +1,5 @@
 """Counterfactual vote reassignment: proportionality, caps, conservation."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvaudit.data import serialize_dataset
 from mvaudit.scenario import CapacityError, _largest_remainder, build_reversal_scenario
-from tests.conftest import dataset_of, make_random_dataset
+from tests.conftest import dataset_of, make_random_dataset, rows_of
 
 
 def red(i, mail_total, mail_c1, ballot_c1=500):
@@ -115,7 +113,7 @@ class TestInvariants:
             assert sum(modified.ballot_total) + sum(modified.mail_total) == total_votes
             # untouched districts are bit-identical
             red_ids = set(reds.district_id)
-            for before, after in zip(zip(*astuple(ds)), zip(*astuple(modified))):
+            for before, after in zip(rows_of(ds), rows_of(modified)):
                 if before[0] not in red_ids:
                     assert after == before
             # margin arithmetic is exact

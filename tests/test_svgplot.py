@@ -82,3 +82,17 @@ class TestRenderScatter:
         root = ET.fromstring(svg)
         assert [el.text for el in root.iter(f"{SVG_NS}title")] == [name, "B"]
         assert title in [el.text for el in root.iter(f"{SVG_NS}text")]
+
+    def test_characters_xml_forbids_become_replacement_characters(self):
+        # a name may hold control characters, of which XML 1.0 admits only
+        # tab, LF and CR; DEL is allowed as it is
+        name = "A\x0bB\x01C\x1f\tD\x7f&"
+        ds = parse_dataset(
+            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+            f"1,{name},1000,400,200,80,green\n"
+            "2,B,1000,500,200,90,red\n"
+        )
+        root = ET.fromstring(render_scatter(ds, title="t\x0c\ufffe"))
+        titles = [el.text for el in root.iter(f"{SVG_NS}title")]
+        assert titles == ["A\ufffdB\ufffdC\ufffd\tD\x7f&", "B"]
+        assert "t\ufffd\ufffd" in [el.text for el in root.iter(f"{SVG_NS}text")]
