@@ -10,7 +10,7 @@ from .data import (
     reversal_threshold,
     serialize_dataset,
 )
-from .montecarlo import CalibrationReport, ModelParameters, calibrate, simulate_election
+from .montecarlo import CalibrationReport, ModelParameters, calibrate
 from .prediction import (
     AnalysisResult,
     PredictionInterval,
@@ -50,7 +50,6 @@ __all__ = [
     "build_reversal_scenario",
     "ModelParameters",
     "CalibrationReport",
-    "simulate_election",
     "calibrate",
     "TailProbability",
     "log_gamma",

@@ -54,7 +54,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
     result = analyze_dataset(ds, include_dubious=args.include_dubious, strict=args.strict)
     fit, report = result.fit, result.report
-    interval = None if args.level is None else prediction_interval(fit, result.red, args.level)
+    interval = None if args.level is None else prediction_interval(report, args.level)
     if args.json:
         payload = {
             "command": "analyze",
@@ -115,6 +115,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"{interval.level:.4g} prediction interval: "
             f"[{_fmt(interval.lower)}, {_fmt(interval.upper)}]"
         )
+    elif args.level is not None:
+        print("no interval: degenerate fit")
     return 0
 
 

@@ -34,13 +34,12 @@ from .data import ElectionDataset, aggregate_red, contested_statuses
 from .errors import AuditError
 from .prediction import _standardize
 from .special import student_t_cdf, student_t_quantile
-from .wls import InsufficientDataError, RankDeficiencyError, RegressionFit, fit_through_origin
+from .wls import RegressionFit, fit_through_origin
 
 __all__ = [
     "ModelParameters",
     "ReplicationOutcome",
     "CalibrationReport",
-    "simulate_election",
     "replicate_once",
     "calibrate",
     "PROBE_QUANTILES",
@@ -106,23 +105,10 @@ def _mail_counts(
     return clamped.astype(int), np.count_nonzero(clamped != raw, axis=1)
 
 
-def simulate_election(
-    ds: ElectionDataset, params: ModelParameters, seed: int, replication: int = 0
-) -> ElectionDataset:
-    """Replace every district's mail_c1 with a draw from the noise model.
-
-    The draw is round(k * ballot_c1 + noise) with noise ~ N(0, sigma^2 *
-    mail_total), clamped into [0, mail_total].  Ballot votes, totals, and
-    statuses are unchanged; the result is deterministic in (seed, replication).
-    """
-    counts, _ = _mail_counts(_float_columns(ds), params, seed, range(replication, replication + 1))
-    return ds.with_mail_c1(counts[0].tolist())
-
-
 class ReplicationOutcome(NamedTuple):
     """Result of one simulated pipeline pass."""
 
-    t_stat: float | None  # None when the accepted-side fit failed or pred_sd is 0
+    t_stat: float | None  # None when the refit's sigma2, and so pred_sd, is 0
     red_mail_c1: int
     n_clamped: int
 
@@ -133,13 +119,12 @@ def _replications(
     seed: int,
     replications: range,
     include_dubious: bool,
-    fit: RegressionFit | None,
+    fit: RegressionFit,
 ) -> list[ReplicationOutcome]:
     """Outcomes of ``replications``, simulated a block at a time.
 
-    ``fit`` is the through-origin fit of the observed accepted side (see the
-    module docstring), or None when the geometry admits no fit: every t is
-    then None.
+    ``fit`` is the through-origin fit of the observed accepted side; see the
+    module docstring for what each replication takes from it.
     """
     import numpy as np
     contested = contested_statuses(include_dubious)
@@ -153,36 +138,32 @@ def _replications(
     columns = _float_columns(ds)
     ballot_c1_f, mail_total_f = columns[0][used], columns[1][used]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
-    if fit is not None:
-        totals = aggregate_red(ds.split(include_dubious)[1])
-        if totals.ballot_c1 == 0 and totals.mail_total == 0:
-            raise AuditError(
-                "contested districts have neither candidate-1 ballot votes nor mail votes: "
-                "the prediction sd is 0 in every replication"
-            )
+    totals = aggregate_red(ds.split(include_dubious)[1])
+    if totals.ballot_c1 == 0 and totals.mail_total == 0:
+        raise AuditError(
+            "contested districts have neither candidate-1 ballot votes nor mail votes: "
+            "the prediction sd is 0 in every replication"
+        )
     rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // max(len(ds), 1)))
     outcomes: list[ReplicationOutcome] = []
     for start in range(replications.start, replications.stop, rows):
         block = range(start, min(start + rows, replications.stop))
         counts, n_clamped = _mail_counts(columns, params, seed, block)
         realized = [sum(row) for row in counts[:, red].tolist()]
-        if fit is None:
-            t_stats = [None] * len(block)
-        else:
-            mail_c1 = counts[:, used]
-            if exact_floats:  # exact product / exact total: rounded as the int quotient is
-                s_xy = [math.fsum(row) for row in (mail_c1 * ballot_c1_f / mail_total_f).tolist()]
-            else:  # int * int / int is correctly rounded at any size, like the fit's own terms
-                s_xy = [math.fsum(map(truediv, map(mul, ballot_c1, row), mail_total))
-                        for row in mail_c1.tolist()]
-            slope = np.array(s_xy) / fit.s_xx
-            residuals = mail_c1 - slope[:, None] * ballot_c1_f
-            wrss = [math.fsum(row) for row in (residuals * residuals / mail_total_f).tolist()]
-            t_stats = []
-            for slope_r, wrss_r, realized_r in zip(slope.tolist(), wrss, realized):
-                sigma2 = wrss_r / fit.dof
-                _, pred_sd, t = _standardize(slope_r, sigma2, fit.s_xx, totals, realized_r)
-                t_stats.append(t if pred_sd > 0.0 else None)
+        mail_c1 = counts[:, used]
+        if exact_floats:  # exact product / exact total: rounded as the int quotient is
+            s_xy = [math.fsum(row) for row in (mail_c1 * ballot_c1_f / mail_total_f).tolist()]
+        else:  # int * int / int is correctly rounded at any size, like the fit's own terms
+            s_xy = [math.fsum(map(truediv, map(mul, ballot_c1, row), mail_total))
+                    for row in mail_c1.tolist()]
+        slope = np.array(s_xy) / fit.s_xx
+        residuals = mail_c1 - slope[:, None] * ballot_c1_f
+        wrss = [math.fsum(row) for row in (residuals * residuals / mail_total_f).tolist()]
+        t_stats = []
+        for slope_r, wrss_r, realized_r in zip(slope.tolist(), wrss, realized):
+            sigma2 = wrss_r / fit.dof
+            _, pred_sd, t = _standardize(slope_r, sigma2, fit.s_xx, totals, realized_r)
+            t_stats.append(t if pred_sd > 0.0 else None)
         outcomes += map(ReplicationOutcome, t_stats, realized, n_clamped.tolist())
     return outcomes
 
@@ -198,13 +179,10 @@ def replicate_once(
 
     The realized contested aggregate plays the role of the threshold, so under
     the model the statistic should follow the t distribution used by the
-    reversal probability.
+    reversal probability.  The observed accepted side must admit a fit; its
+    ``AuditError`` is raised as ``calibrate`` raises it.
     """
-    green, _ = ds.split(include_dubious)
-    try:
-        fit = fit_through_origin(green)
-    except (InsufficientDataError, RankDeficiencyError):
-        fit = None
+    fit = fit_through_origin(ds.split(include_dubious)[0])
     rows = range(replication, replication + 1)
     (outcome,) = _replications(ds, params, seed, rows, include_dubious, fit)
     return outcome

@@ -107,28 +107,28 @@ def reversal_probability(
     )
 
 
-def prediction_interval(
-    fit: RegressionFit, red: ElectionDataset, level: float
-) -> PredictionInterval:
-    """Two-sided prediction interval for the contested mail-vote aggregate."""
+def prediction_interval(report: ReversalReport, level: float) -> PredictionInterval | None:
+    """Two-sided prediction interval for the contested mail-vote aggregate.
+
+    None when the report is degenerate: a zero prediction sd has no interval.
+    """
     if not (0.0 < level < 1.0):
         raise AuditError(f"interval level must be in (0, 1), got {level!r}")
-    if fit.sigma2 <= 0.0:
-        raise AuditError("degenerate fit (sigma2 == 0) has no prediction interval")
-    prediction, pred_sd, _ = _standardize(fit.slope, fit.sigma2, fit.s_xx, aggregate_red(red), 0.0)
-    halfwidth = student_t_quantile(0.5 * (1.0 + level), fit.dof) * pred_sd
+    if report.degenerate:
+        return None
+    halfwidth = student_t_quantile(0.5 * (1.0 + level), report.dof) * report.pred_sd
+    prediction = report.prediction
     return PredictionInterval(level, prediction - halfwidth, prediction + halfwidth, prediction)
 
 
 class AnalysisResult(NamedTuple):
-    """Full pipeline output: partition sizes, fit, reversal report, contested districts."""
+    """Full pipeline output: partition sizes, fit and reversal report."""
 
     n_green: int
     n_red: int
     margin_official: int
     fit: RegressionFit
     report: ReversalReport
-    red: ElectionDataset
 
 
 def analyze_dataset(
@@ -140,4 +140,4 @@ def analyze_dataset(
     threshold = reversal_threshold(ds, red, strict=strict)
     variant = "M14" if include_dubious else "M11"
     report = reversal_probability(fit, red, threshold, variant=variant)
-    return AnalysisResult(len(green), len(red), ds.margin_official, fit, report, red)
+    return AnalysisResult(len(green), len(red), ds.margin_official, fit, report)

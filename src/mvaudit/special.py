@@ -152,12 +152,21 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
+def _inc_beta(a: float, b: float, x: float, xc: float) -> tuple[bool, float]:
+    """I_x(a, b) for 0 < x < 1, from x and xc = 1 - x each computed by the caller.
 
-    Evaluates the continued fraction on whichever of I_x(a, b) and
-    1 - I_{1-x}(b, a) is the numerically smaller branch.
+    The continued fraction runs on whichever of I_x(a, b) and I_xc(b, a) is
+    the numerically smaller branch.  Returns (True, log I_x(a, b)) for the
+    first and (False, 1 - I_x(a, b)) for the second.
     """
+    ln_front = a * math.log(x) + b * math.log(xc) - _log_beta(a, b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return True, ln_front + math.log(_beta_cf(a, b, x)) - math.log(a)
+    return False, math.exp(ln_front) * _beta_cf(b, a, xc) / b
+
+
+def reg_inc_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta function I_x(a, b)."""
     x = float(x)
     a = float(a)
     b = float(b)
@@ -171,13 +180,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     if x == 0.5 and a == b:
         return 0.5
-    xc = 1.0 - x
-    ln_front = (
-        a * math.log(x) + b * math.log(xc) - _log_beta(a, b)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, xc) / b
+    direct, value = _inc_beta(a, b, x, 1.0 - x)
+    return math.exp(value) if direct else 1.0 - value
 
 
 def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
@@ -199,14 +203,10 @@ def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
     xc = t2 / denom
     if t == 0.0 or xc == 0.0:
         return 0.5, _LN_HALF
-    if x < (a + 1.0) / (a + b + 2.0):
-        ln_front = a * math.log(x) + b * math.log(xc) - _log_beta(a, b)
-        log_ib = ln_front + math.log(_beta_cf(a, b, x)) - math.log(a)
-        log_value = _LN_HALF + log_ib
-        return 0.5 * math.exp(log_ib), log_value
-    ln_front = a * math.log(x) + b * math.log(xc) - _log_beta(a, b)
-    complement = math.exp(ln_front) * _beta_cf(b, a, xc) / b
-    value = 0.5 * (1.0 - complement)
+    direct, value = _inc_beta(a, b, x, xc)
+    if direct:
+        return 0.5 * math.exp(value), _LN_HALF + value
+    value = 0.5 * (1.0 - value)
     return value, math.log(value)
 
 

@@ -38,7 +38,6 @@ class RegressionFit(NamedTuple):
     sigma2    noise-scale estimate: weighted RSS / (n_used - 1)
     s_xx      sum of ballot_c1^2 / mail_total over fitted districts
     dof       n_used - 1
-    residuals mail_c1 - slope * ballot_c1 per fitted district
     excluded  ids of districts skipped because mail_total == 0
     """
 
@@ -47,7 +46,6 @@ class RegressionFit(NamedTuple):
     s_xx: float
     dof: int
     n_used: int
-    residuals: dict[str, float]
     excluded: tuple[str, ...] = ()
 
     @property
@@ -61,14 +59,15 @@ def fit_through_origin(ds: ElectionDataset) -> RegressionFit:
     Districts with no mail votes carry no information (their weight is
     undefined) and are excluded but recorded.
     """
-    ids, x, y, m = (  # a count selects its row when it is not 0
+    x, y, m = (  # a count selects its row when it is not 0
         tuple(compress(column, ds.mail_total))
-        for column in (ds.district_id, ds.ballot_c1, ds.mail_c1, ds.mail_total)
+        for column in (ds.ballot_c1, ds.mail_c1, ds.mail_total)
     )
     excluded = tuple(compress(ds.district_id, map(not_, ds.mail_total)))
-    if len(ids) < 2:
+    n_used = len(x)
+    if n_used < 2:
         raise InsufficientDataError(
-            f"through-origin fit needs at least 2 districts with mail votes, got {len(ids)}"
+            f"through-origin fit needs at least 2 districts with mail votes, got {n_used}"
         )
     if not any(x):
         raise RankDeficiencyError("all ballot_c1 regressor values are zero")
@@ -77,7 +76,6 @@ def fit_through_origin(ds: ElectionDataset) -> RegressionFit:
     slope = s_xy / s_xx
     residuals = list(map(sub, y, map(mul, repeat(slope), x)))
     wrss = math.fsum(map(truediv, map(mul, residuals, residuals), m))
-    n_used = len(ids)
     dof = n_used - 1
     sigma2 = wrss / dof
-    return RegressionFit(slope, sigma2, s_xx, dof, n_used, dict(zip(ids, residuals)), excluded)
+    return RegressionFit(slope, sigma2, s_xx, dof, n_used, excluded)

@@ -6,7 +6,8 @@ mail_c1 as a new checked dataset, refit it with ``fit_through_origin`` and
 standardize the realized contested aggregate with ``prediction._standardize``.
 ``mvaudit.montecarlo`` computes the same statistics for a block of
 replications at once; ``tests/test_montecarlo.py`` requires the two to agree
-bit for bit.
+bit for bit.  ``simulate_election`` returns a whole simulated dataset, for
+tests that run the analysis on it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,19 @@ def simulate_mail_counts(
     clamped = np.clip(raw, 0.0, mail_total)
     n_clamped = int(np.sum(clamped != raw))
     return clamped.astype(int), n_clamped
+
+
+def simulate_election(
+    ds: ElectionDataset, params: ModelParameters, seed: int, replication: int = 0
+) -> ElectionDataset:
+    """Replace every district's mail_c1 with a draw from the noise model.
+
+    The draw is round(k * ballot_c1 + noise) with noise ~ N(0, sigma^2 *
+    mail_total), clamped into [0, mail_total].  Ballot votes, totals, and
+    statuses are unchanged; the result is deterministic in (seed, replication).
+    """
+    counts, _ = simulate_mail_counts(ds, params, seed, replication)
+    return ds.with_mail_c1(counts.tolist())
 
 
 def replicate_once(

@@ -218,6 +218,18 @@ class TestAnalyze:
         assert (payload["sigma2"], payload["pred_sd"], payload["p_reversal"]) == (0.0, 0.0, 0.0)
         assert payload["t_stat"] is None and payload["log10_p_reversal"] is None
 
+    @pytest.mark.parametrize("csv", ["exact_fit_csv", "zero_contested_csv"])
+    def test_degenerate_fit_keeps_report_without_interval(self, capsys, request, csv):
+        # sigma2 == 0 and a zero prediction sd with sigma2 > 0 follow one rule
+        path = request.getfixturevalue(csv)
+        code, out, _ = run(capsys, "analyze", path, "--level", "0.9", "--json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["degenerate"] is True and payload["prediction_interval"] is None
+        code, out, err = run(capsys, "analyze", path, "--level", "0.9")
+        assert code == 0 and err == ""
+        assert out == run(capsys, "analyze", path)[1] + "no interval: degenerate fit\n"
+
 
 class TestScenario:
     def test_default_votes_summary(self, capsys, fixture_arg, tmp_path):
@@ -427,3 +439,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", fixture_arg, "--bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("analyze",), "89a71c75982f61ee34c179d092b2ea7ed75b78b3ad2632310990fdc8fceb7c52"),
+        (("analyze", "--include-dubious", "--level", "0.99"),
+         "ba5752336cea543c3e9adfe488ddf8b8d8e530f9c6ec9c0dc90ef4009d96bc21"),
+        (("validate",), "a072c88361ab5001d6b8c3a498a80981aae600af47cdddfa91bf5ac8c7528b64"),
+        (("scenario", "--votes", "1000"),
+         "7b6e88372e24d17543eea12708fc9256abc64f0513155044e135b45836be4148"),
+        (("calibrate", "--reps", "200"),
+         "1464852eee9df097f2a31cde0f0bdcba567ebc1f1aa804b657eb8a8479bd8013"),
+    ],
+)
+def test_plain_text_output_is_pinned(capsys, fixture_arg, argv, digest):
+    # sha256 of the whole text stdout on the fixture: a changed label, format
+    # or value shows as a changed byte
+    code, out, _ = run(capsys, argv[0], fixture_arg, *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

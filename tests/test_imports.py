@@ -11,6 +11,13 @@ from pathlib import Path
 import mvaudit
 
 SRC = Path(mvaudit.__file__).parent
+MVBENCH = SRC.parent.parent / "mvbench"
+
+# exported functions that neither a command nor the benchmark calls, and why
+# the library still ships them
+UNCALLED_EXPORTS = {
+    "reg_inc_beta": "the acceptance gate checks the incomplete-beta core through it",
+}
 
 # modules analyze, validate, scenario and plot have no use for; dataclasses
 # (with inspect, ast, dis and tokenize) and html each cost milliseconds of start-up
@@ -65,6 +72,41 @@ def imported_modules(path: Path):
             yield node.module
 
 
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def calls(node, enclosing=frozenset()):
+    """(called name, names of the enclosing defs) for each ``f(...)`` or ``x.f(...)``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls(child, enclosing | {child.name})
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)), enclosing
+        yield from calls(child, enclosing)
+
+
+def test_every_exported_function_is_called():
+    # the library ships no code that only tests call: each exported function
+    # is called by the package or the benchmark, outside its own body
+    paths = sorted(SRC.rglob("*.py")) + sorted(MVBENCH.rglob("*.py"))
+    sites = [(path, name, enclosing) for path in paths
+             for name, enclosing in calls(ast.parse(path.read_text(encoding="utf-8")))]
+    uncalled = []
+    for path in sorted(SRC.rglob("*.py")):
+        exported = getattr(importlib.import_module(module_name(path)), "__all__", ())
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported and not any(
+                name == node.name and not (other == path and node.name in enclosing)
+                for other, name, enclosing in sites
+            ):
+                uncalled.append(node.name)
+    assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+
+
 def test_only_montecarlo_imports_numpy():
     # parsing, fitting and the t tail are pure Python; arrays pay for
     # themselves only in the Monte Carlo simulation
@@ -97,11 +139,9 @@ def test_cli_keeps_a_preset_openblas_thread_count(fixture_csv_path):
 def test_every_exported_name_resolves():
     # a name removed from a module must leave its export lists too
     for path in sorted(SRC.rglob("*.py")):
-        parts = path.relative_to(SRC.parent).with_suffix("").parts
-        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        module = importlib.import_module(name)
+        module = importlib.import_module(module_name(path))
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-        assert missing == [], name
+        assert missing == [], module.__name__
     namespace = {}
     exec("from mvaudit import *", namespace)
     assert set(mvaudit.__all__) <= set(namespace)

@@ -19,12 +19,12 @@ from mvaudit.montecarlo import (
     _standard_normals,
     calibrate,
     replicate_once,
-    simulate_election,
 )
 from mvaudit.prediction import analyze_dataset, reversal_probability
 from mvaudit.wls import fit_through_origin
 from tests import mc_oracle
 from tests.conftest import dataset_of, make_random_dataset, rows_of
+from tests.mc_oracle import simulate_election
 
 # slope chosen so model means sit mid-range of the mail totals
 PARAMS = ModelParameters(k=0.3, sigma=3.0)

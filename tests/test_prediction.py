@@ -33,6 +33,12 @@ def small_red():
     return dataset_of([district(9, 120, 80, 30, status="red")])
 
 
+@pytest.fixture()
+def small_report(small_fit, small_red):
+    # the interval does not depend on the threshold
+    return reversal_probability(small_fit, small_red, 0.0)
+
+
 class TestReversalProbability:
     def test_headline_fixture_values(self, dataset):
         report = analyze_dataset(dataset).report
@@ -116,7 +122,7 @@ class TestReversalProbability:
 
 
 class TestPredictionInterval:
-    def test_hand_computed_half_interval(self, small_fit, small_red):
+    def test_hand_computed_half_interval(self, small_report):
         # independent arithmetic: exact rationals for the fit, closed-form
         # t quantile at 2 dof (cdf(t) = 3/4 at t = sqrt(2/3))
         s_xx = Fraction(100**2, 50) + Fraction(200**2, 100) + Fraction(150**2, 60)
@@ -131,22 +137,22 @@ class TestPredictionInterval:
         prediction = slope * 120
         pred_var = sigma2 * (Fraction(120**2) / s_xx + 80)
         halfwidth = math.sqrt(2.0 / 3.0) * math.sqrt(float(pred_var))
-        interval = prediction_interval(small_fit, small_red, 0.5)
+        interval = prediction_interval(small_report, 0.5)
         assert interval.point_prediction == pytest.approx(float(prediction), rel=1e-14)
         assert interval.lower == pytest.approx(float(prediction) - halfwidth, rel=1e-10)
         assert interval.upper == pytest.approx(float(prediction) + halfwidth, rel=1e-10)
 
-    def test_width_monotone_and_collapsing(self, small_fit, small_red):
+    def test_width_monotone_and_collapsing(self, small_report):
         widths = [
-            prediction_interval(small_fit, small_red, level).upper
-            - prediction_interval(small_fit, small_red, level).lower
+            prediction_interval(small_report, level).upper
+            - prediction_interval(small_report, level).lower
             for level in (1e-9, 0.1, 0.5, 0.9, 0.999)
         ]
         assert widths[0] < 1e-6
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
-    def test_symmetric_about_prediction(self, small_fit, small_red):
-        interval = prediction_interval(small_fit, small_red, 0.9)
+    def test_symmetric_about_prediction(self, small_report):
+        interval = prediction_interval(small_report, 0.9)
         assert interval.upper - interval.point_prediction == pytest.approx(
             interval.point_prediction - interval.lower, rel=1e-12
         )
@@ -158,24 +164,30 @@ class TestPredictionInterval:
         # threshold whose reversal probability is (1 - lambda)/2
         result = analyze_dataset(dataset)
         _, red = dataset.split()
-        interval = prediction_interval(result.fit, red, level)
+        interval = prediction_interval(result.report, level)
         report = reversal_probability(result.fit, red, interval.upper)
         assert report.p_reversal.value == pytest.approx((1.0 - level) / 2.0, abs=1e-9)
 
     def test_threshold_far_outside_high_interval(self, dataset):
         # consistency with p ~ 1.3e-10: 49911 lies above even the 99.999% band
         result = analyze_dataset(dataset)
-        _, red = dataset.split()
-        interval = prediction_interval(result.fit, red, 0.99999)
+        interval = prediction_interval(result.report, 0.99999)
         assert interval.upper < 49911
         assert interval.lower < 34479 < interval.upper
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -1.0, 2.0])
-    def test_level_domain(self, small_fit, small_red, level):
+    def test_level_domain(self, small_report, level):
         with pytest.raises(AuditError):
-            prediction_interval(small_fit, small_red, level)
+            prediction_interval(small_report, level)
 
-    def test_degenerate_fit_rejected(self, small_red):
-        fit = fit_through_origin(dataset_of([district(1, 100, 50, 40), district(2, 200, 100, 80)]))
-        with pytest.raises(AuditError, match="degenerate"):
-            prediction_interval(fit, small_red, 0.5)
+    def test_degenerate_report_has_no_interval(self, small_fit, small_red):
+        # a zero prediction sd, from sigma2 == 0 or from a contested side with
+        # neither candidate-1 ballot votes nor mail votes, has no interval
+        exact = fit_through_origin(dataset_of([district(1, 100, 50, 40), district(2, 200, 100, 80)]))
+        empty_red = dataset_of([district(9, 0, 0, 0, status="red")])
+        for fit, red in ((exact, small_red), (small_fit, empty_red)):
+            report = reversal_probability(fit, red, 1.0)
+            assert report.degenerate
+            assert prediction_interval(report, 0.5) is None
+            with pytest.raises(AuditError):
+                prediction_interval(report, 1.0)

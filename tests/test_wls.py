@@ -158,9 +158,9 @@ class TestFitThroughOrigin:
         green, _ = dataset.split()
         fit = fit_through_origin(green)
         terms = [
-            ballot_c1 * fit.residuals[district_id] / mail_total
-            for district_id, ballot_c1, mail_total in zip(
-                green.district_id, green.ballot_c1, green.mail_total
+            ballot_c1 * (mail_c1 - fit.slope * ballot_c1) / mail_total
+            for ballot_c1, mail_c1, mail_total in zip(
+                green.ballot_c1, green.mail_c1, green.mail_total
             )
             if mail_total > 0
         ]
