@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .data import contested_statuses, half_margin, load_dataset, serialize_dataset
@@ -139,28 +140,21 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         "resulting_margin_c1_minus_c2": result.resulting_margin,
         "output": args.out or "-",
     }
+    moved = (
+        f"moved {result.total_moved} mail votes to candidate 1; "
+        f"resulting margin {result.resulting_margin:+d} for candidate 1"
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
-        if args.json:
-            _print_json(summary)
-        else:
-            print(
-                f"moved {result.total_moved} mail votes to candidate 1; "
-                f"resulting margin {result.resulting_margin:+d} for candidate 1"
-            )
-            print(f"modified dataset written to {args.out}")
+    if args.json:
+        _print_json(summary if args.out else {**summary, "csv": csv_text})
+    elif args.out:
+        print(moved)
+        print(f"modified dataset written to {args.out}")
     else:
-        if args.json:
-            summary["csv"] = csv_text
-            _print_json(summary)
-        else:
-            sys.stdout.write(csv_text)
-            print(
-                f"moved {result.total_moved} mail votes to candidate 1; "
-                f"resulting margin {result.resulting_margin:+d} for candidate 1",
-                file=sys.stderr,
-            )
+        sys.stdout.write(csv_text)
+        print(moved, file=sys.stderr)
     return 0
 
 
@@ -183,13 +177,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
-    if args.k is None or args.sigma is None:
-        green, _ = ds.split(args.include_dubious)
-        fit = fit_through_origin(green)
-        k = args.k if args.k is not None else fit.slope
-        sigma = args.sigma if args.sigma is not None else math.sqrt(fit.sigma2)
-    else:
-        k, sigma = args.k, args.sigma
+    k, sigma = args.k, args.sigma
+    if k is None or sigma is None:
+        fit = fit_through_origin(ds.split(args.include_dubious)[0])
+        k = fit.slope if k is None else k
+        sigma = math.sqrt(fit.sigma2) if sigma is None else sigma
     params = ModelParameters(k=k, sigma=sigma)
     report = calibrate(
         ds, params, replications=args.reps, seed=args.seed, include_dubious=args.include_dubious
@@ -250,18 +242,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+def _int_at_least(least: int, reason: str, value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if n < least:
+        raise argparse.ArgumentTypeError(reason)
     return n
 
 
-def _reps(value: str) -> int:
-    n = int(value)
-    if n < 100:
-        raise argparse.ArgumentTypeError("need at least 100 replications")
-    return n
+_nonnegative_int = partial(_int_at_least, 0, "must be nonnegative")
+_reps = partial(_int_at_least, 100, "need at least 100 replications")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         if level:
             p.add_argument("--level", type=float, help="also report this prediction-interval level")
         if votes:
-            p.add_argument("--votes", type=_positive_int, help="mail votes to reassign")
+            p.add_argument("--votes", type=_nonnegative_int, help="mail votes to reassign")
             p.add_argument(
                 "--base",
                 choices=["mail_total", "mail_c2"],

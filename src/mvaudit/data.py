@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, le, not_
@@ -63,10 +62,6 @@ _MAX_DIGITS = 4300
 _COUNT_BOUND = 2**63
 _STATUS_SET = frozenset(STATUSES)
 _FIELDS = attrgetter(*HEADER)  # a dataset's columns
-# Rows flattened at a time.  Fewer row lists are then alive at once than it takes
-# to start the cyclic garbage collector (700); holding all 100,000 rows of a
-# precinct file made it walk them for 60-90 ms.
-_BLOCK_ROWS = 256
 
 
 class ParseError(AuditError):
@@ -264,32 +259,25 @@ def _split_fields(text: str) -> tuple[list[str], list[str]] | None:
 def _read_fields(text: str) -> tuple[list[str], list[str], ParseError | None]:
     """The header, the flat fields of the rows before the first fault, and that fault.
 
-    Rows are read by csv.reader up to the first one that it or the column
-    count rejects.  A text without a header raises its ParseError at once.
+    csv.reader reads row by row up to the first row that it or the column
+    count rejects, and the fault takes its line from ``reader.line_num``.
+    Each row list is freed as the next is read.  A text without a header
+    raises its ParseError at once.
     """
     reader = csv.reader(io.StringIO(text))
-    error = None
-
-    def every_row():
-        nonlocal error
-        try:
-            yield from reader
-        except csv.Error as exc:  # a field over csv.field_size_limit(), a bare CR in a field
-            error = ParseError(reader.line_num, str(exc))
-
-    read = every_row()
-    header = next(read, None)
+    header, fields, error = None, [], None
+    try:
+        header = next(reader, None)
+        for row in reader:
+            if row and len(row) != len(HEADER):
+                reason = f"expected {len(HEADER)} columns, got {len(row)}"
+                error = ParseError(reader.line_num, reason)
+                break
+            fields += row
+    except csv.Error as exc:  # a field over csv.field_size_limit(), a bare CR in a field
+        error = ParseError(reader.line_num, str(exc))
     if header is None:
         raise error or ParseError(1, "missing header")
-    rows, fields = filter(None, read), []
-    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        if not {len(HEADER)}.issuperset(map(len, block)):
-            width = next(i for i, row in enumerate(block) if len(row) != len(HEADER))
-            reason = f"expected {len(HEADER)} columns, got {len(block[width])}"
-            error = ParseError(_line_of(text, len(fields) // len(HEADER) + width), reason)
-            fields += chain.from_iterable(block[:width])
-            break
-        fields += chain.from_iterable(block)
     return header, fields, error
 
 
@@ -318,14 +306,16 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
 
 
 def load_dataset(path: str | Path) -> ElectionDataset:
+    """Read, decode and parse a dataset file; a byte that is not UTF-8 ends in a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return parse_dataset(fh)
-    except UnicodeDecodeError:  # its offsets count from the decoder's chunk, not the file
-        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
-    bad = re.search("[\udc80-\udcff]", text)
-    byte = ord(bad.group()) - 0xDC00
-    raise ParseError(text.count("\n", 0, bad.start()) + 1, f"invalid UTF-8 byte {byte:#04x}")
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # its offsets count from the start of the file
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"invalid UTF-8 byte {data[exc.start]:#04x}") from None
+    del data  # only the text is needed while parsing
+    return parse_dataset(text)
 
 
 def serialize_dataset(ds: ElectionDataset) -> str:
@@ -343,9 +333,9 @@ def contested_statuses(include_dubious: bool) -> set[str]:
 
 
 def aggregate_red(red: ElectionDataset) -> RedTotals:
-    """Componentwise sums of ballot_c1, mail_total, mail_c1 over districts."""
+    """Componentwise sums of ballot_c1, mail_total, mail_c1 over the contested districts."""
     if not len(red):
-        raise ValidationError("cannot aggregate an empty district list")
+        raise ValidationError("dataset has no contested districts")
     return RedTotals(sum(red.ballot_c1), sum(red.mail_total), sum(red.mail_c1))
 
 

@@ -10,10 +10,12 @@ at most BLOCK_ROWS rows and, unless one row is wider, at most BLOCK_ELEMENTS
 rows x districts, so peak memory grows with neither count.  Each row is
 filled from its own stream (one generator, reset to the state of a fresh
 Philox(key=seed, counter=[0,0,0,r]) before each row) and transformed
-elementwise.  Simulation changes only mail_c1, so the
-observed accepted-side fit supplies s_xx, dof and the geometry checks, and
-each row recomputes only s_xy and the weighted residual sum of squares, from
-the terms ``wls.fit_through_origin`` uses: int * int / int for s_xy
+elementwise.  A ``calibrate`` or ``replicate_once`` call splits the dataset,
+sums its contested side and fits its accepted side once, before the first
+block.  Simulation changes only mail_c1, so that observed fit supplies s_xx,
+dof and the geometry checks, and each row recomputes only s_xy and the
+weighted residual sum of squares, from the terms ``wls.fit_through_origin``
+uses: int * int / int for s_xy
 (correctly rounded at any size; float terms when max(ballot_c1) *
 max(mail_total) < 2**53 over the fitted rows, as mail_c1 <= mail_total makes
 every product exact) and ``math.fsum`` for both sums (correctly rounded
@@ -30,7 +32,7 @@ import math
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .data import ElectionDataset, aggregate_red, contested_statuses
+from .data import ElectionDataset, RedTotals, aggregate_red, contested_statuses
 from .errors import AuditError
 from .prediction import _standardize
 from .special import student_t_cdf, student_t_quantile
@@ -119,16 +121,24 @@ def _replications(
     seed: int,
     replications: range,
     include_dubious: bool,
-    fit: RegressionFit,
-) -> list[ReplicationOutcome]:
-    """Outcomes of ``replications``, simulated a block at a time.
+) -> tuple[RegressionFit, RedTotals, list[ReplicationOutcome]]:
+    """The observed accepted-side fit, the contested totals and the outcomes of ``replications``.
 
-    ``fit`` is the through-origin fit of the observed accepted side; see the
-    module docstring for what each replication takes from it.
+    The dataset is split, its contested side summed and its accepted side
+    fitted once, here; see the module docstring for what each replication
+    takes from that fit.  The replications are simulated a block at a time.
     """
     import numpy as np
+    green, red = ds.split(include_dubious)
+    totals = aggregate_red(red)
+    fit = fit_through_origin(green)
+    if totals.ballot_c1 == 0 and totals.mail_total == 0:
+        raise AuditError(
+            "contested districts have neither candidate-1 ballot votes nor mail votes: "
+            "the prediction sd is 0 in every replication"
+        )
     contested = contested_statuses(include_dubious)
-    red = np.array([i for i, s in enumerate(ds.status) if s in contested], dtype=np.intp)
+    red_rows = np.array([i for i, s in enumerate(ds.status) if s in contested], dtype=np.intp)
     used = [
         i for i, (s, m) in enumerate(zip(ds.status, ds.mail_total)) if s not in contested and m > 0
     ]
@@ -138,18 +148,12 @@ def _replications(
     columns = _float_columns(ds)
     ballot_c1_f, mail_total_f = columns[0][used], columns[1][used]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
-    totals = aggregate_red(ds.split(include_dubious)[1])
-    if totals.ballot_c1 == 0 and totals.mail_total == 0:
-        raise AuditError(
-            "contested districts have neither candidate-1 ballot votes nor mail votes: "
-            "the prediction sd is 0 in every replication"
-        )
     rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // max(len(ds), 1)))
     outcomes: list[ReplicationOutcome] = []
     for start in range(replications.start, replications.stop, rows):
         block = range(start, min(start + rows, replications.stop))
         counts, n_clamped = _mail_counts(columns, params, seed, block)
-        realized = [sum(row) for row in counts[:, red].tolist()]
+        realized = [sum(row) for row in counts[:, red_rows].tolist()]
         mail_c1 = counts[:, used]
         if exact_floats:  # exact product / exact total: rounded as the int quotient is
             s_xy = [math.fsum(row) for row in (mail_c1 * ballot_c1_f / mail_total_f).tolist()]
@@ -165,7 +169,7 @@ def _replications(
             _, pred_sd, t = _standardize(slope_r, sigma2, fit.s_xx, totals, realized_r)
             t_stats.append(t if pred_sd > 0.0 else None)
         outcomes += map(ReplicationOutcome, t_stats, realized, n_clamped.tolist())
-    return outcomes
+    return fit, totals, outcomes
 
 
 def replicate_once(
@@ -179,12 +183,11 @@ def replicate_once(
 
     The realized contested aggregate plays the role of the threshold, so under
     the model the statistic should follow the t distribution used by the
-    reversal probability.  The observed accepted side must admit a fit; its
-    ``AuditError`` is raised as ``calibrate`` raises it.
+    reversal probability.  The dataset must have contested districts and its
+    observed accepted side must admit a fit; the errors are ``calibrate``'s.
     """
-    fit = fit_through_origin(ds.split(include_dubious)[0])
     rows = range(replication, replication + 1)
-    (outcome,) = _replications(ds, params, seed, rows, include_dubious, fit)
+    _, _, (outcome,) = _replications(ds, params, seed, rows, include_dubious)
     return outcome
 
 
@@ -228,19 +231,16 @@ def calibrate(
     Simulates the model ``replications`` times, collects the standardized
     statistics, and reports the Kolmogorov-Smirnov distance to the
     t distribution with the degrees of freedom of the observed accepted-side
-    fit, plus probe-quantile errors.  That fit must succeed; failed fits of
-    simulated elections are counted, not fatal.
+    fit, plus probe-quantile errors.  The dataset must have contested
+    districts and that fit must succeed; failed fits of simulated elections
+    are counted, not fatal.
     """
     import numpy as np
     if replications < 100:
         raise AuditError(f"need at least 100 replications, got {replications}")
     if not 0 <= seed < 2**128:
         raise AuditError(f"seed must be in [0, 2**128), got {seed}")
-    green, red = ds.split(include_dubious)
-    if not len(red):
-        raise AuditError("dataset has no contested districts to calibrate against")
-    fit = fit_through_origin(green)
-    outcomes = _replications(ds, params, seed, range(replications), include_dubious, fit)
+    fit, totals, outcomes = _replications(ds, params, seed, range(replications), include_dubious)
     t_stats = [o.t_stat for o in outcomes if o.t_stat is not None]
     realized_total = 0.0
     for o in outcomes:
@@ -261,5 +261,5 @@ def calibrate(
         failed_replications=replications - len(t_stats),
         clamped_fraction=sum(o.n_clamped for o in outcomes) / (replications * len(ds)),
         mean_red_mail_c1=realized_total / replications,
-        expected_red_mail_c1=params.k * aggregate_red(red).ballot_c1,
+        expected_red_mail_c1=params.k * totals.ballot_c1,
     )

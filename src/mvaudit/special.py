@@ -258,13 +258,9 @@ def _t_isf(alpha: float, nu: float) -> float:
     """Solve student_t_sf(t, nu) == alpha for t >= 0 (alpha <= 0.5)."""
     lo = 0.0
     hi = 1.0
-    for _ in range(2100):
-        if student_t_sf(hi, nu).value <= alpha:
-            break
+    while student_t_sf(hi, nu).value > alpha:
         lo = hi
         hi *= 2.0
-    else:  # pragma: no cover - alpha > 0 always brackets within range
-        raise ConvergenceError(f"failed to bracket t quantile for alpha={alpha}, nu={nu}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -106,6 +106,31 @@ def zero_contested_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def all_green_csv(tmp_path):
+    # a valid file whose districts are all accepted: nothing is contested
+    path = tmp_path / "all_green.csv"
+    path.write_text(
+        "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+        "1,A,1000,400,200,90,green\n"
+        "2,B,1200,500,300,140,green\n"
+        "3,C,900,300,250,70,green\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("calibrate", "--reps", "100")])
+def test_no_contested_districts_exits_one(capsys, all_green_csv, argv):
+    # analyze and calibrate reject a file without contested districts alike
+    message = "dataset has no contested districts"
+    code, out, err = run(capsys, argv[0], all_green_csv, *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, argv[0], all_green_csv, *argv[1:], "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": {"type": "data", "message": message}}
+
+
 class TestAnalyze:
     def test_json_headline(self, capsys, fixture_arg):
         code, out, _ = run(capsys, "analyze", fixture_arg, "--json")
@@ -440,6 +465,28 @@ class TestUsage:
             main(["analyze", fixture_arg, "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("scenario", "--votes", "abc"), "argument --votes: not an integer: 'abc'"),
+            (("scenario", "--votes", "-1"), "argument --votes: must be nonnegative"),
+            (("calibrate", "--reps", "1e4"), "argument --reps: not an integer: '1e4'"),
+            (("calibrate", "--reps", "99"), "argument --reps: need at least 100 replications"),
+        ],
+    )
+    def test_bad_integer_option_is_usage_error(self, capsys, fixture_arg, argv, message):
+        # the message names the option and the value, not a validator function
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], fixture_arg, *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"mvaudit {argv[0]}: error: {message}\n")
+
+
+PINNED_STDERR = {
+    "scenario": "moved 1000 mail votes to candidate 1; resulting margin -28863 for candidate 1\n"
+}
+
 
 @pytest.mark.parametrize(
     "argv, digest",
@@ -456,7 +503,8 @@ class TestUsage:
 )
 def test_plain_text_output_is_pinned(capsys, fixture_arg, argv, digest):
     # sha256 of the whole text stdout on the fixture: a changed label, format
-    # or value shows as a changed byte
-    code, out, _ = run(capsys, argv[0], fixture_arg, *argv[1:])
+    # or value shows as a changed byte; only scenario writes to stderr
+    code, out, err = run(capsys, argv[0], fixture_arg, *argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == PINNED_STDERR.get(argv[0], "")

@@ -354,6 +354,53 @@ class TestSplitPath:
                 parse_dataset(text)
 
 
+FAR_FAULTS = {
+    "short_row": lambda name: f"{name},1000,400,200,80",
+    "long_field": lambda name: f"{'x' * 131_073},1000,400,200,80,green",
+    "bad_integer": lambda name: f"{name},1000,4x0,200,80,green",
+}
+
+
+def far_fault_text(layout: str, fault: str, at: int) -> str:
+    """700 rows read by csv.reader, row ``at`` (1-based) holding ``fault``.
+
+    "crlf" ends each line with CRLF; "quoted" quotes every name, and those of
+    rows 25, 75, 125, ... span two lines, so lines and rows drift apart.
+    """
+    rows = []
+    for i in range(1, 701):
+        if layout == "crlf":
+            name = f"N{i}"
+        else:
+            name = f'"N{i},\nx"' if i % 50 == 25 else f'"N{i}, x"'
+        fields = FAR_FAULTS[fault](name) if i == at else f"{name},1000,400,200,80,green"
+        rows.append(f"{i},{fields}")
+    text = csv_of(*rows)
+    return text.replace("\n", "\r\n") if layout == "crlf" else text
+
+
+class TestFaultsPastTheFirstRows:
+    """csv.reader-path faults deep in a file keep csv.reader's line numbers."""
+
+    @pytest.mark.parametrize("at", [300, 700])
+    @pytest.mark.parametrize("fault", sorted(FAR_FAULTS))
+    @pytest.mark.parametrize("layout", ["crlf", "quoted"])
+    def test_line_and_reason_match_oracle(self, layout, fault, at):
+        text = far_fault_text(layout, fault, at)
+        with pytest.raises(ParseError) as expected:
+            csv_oracle.parse(text)
+        with pytest.raises(ParseError) as got:
+            parse_dataset(text)
+        assert (got.value.line, got.value.reason) == (expected.value.line, expected.value.reason)
+        # each of the first `at` rows spans one line, plus one per quoted line break
+        assert got.value.line == 1 + at + (at // 50 if layout == "quoted" else 0)
+
+    @pytest.mark.parametrize("layout", ["crlf", "quoted"])
+    def test_fault_free_text_matches_oracle(self, layout):
+        text = far_fault_text(layout, "short_row", at=0)
+        assert rows_of(parse_dataset(text)) == csv_oracle.parse(text).rows
+
+
 class TestPartition:
     """``ElectionDataset.split``: the accepted and contested sides of the districts."""
 

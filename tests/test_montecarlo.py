@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvaudit.data import aggregate_red
+from mvaudit.data import ElectionDataset, ValidationError, aggregate_red
 from mvaudit import montecarlo
 from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
@@ -192,6 +192,36 @@ class TestCalibrate:
             calibrate(ds, PARAMS, replications=reps, seed=4)
             counts.append(len(conversions))
         assert counts[0] == counts[1] > 0
+
+    def test_observed_side_is_set_up_once_per_call(self, monkeypatch):
+        # one split and one fit of the observed data, whatever the block count
+        ds = small_template()
+        calls = []
+        split, fit = ElectionDataset.split, montecarlo.fit_through_origin
+
+        def counting_split(self, *args):
+            calls.append("split")
+            return split(self, *args)
+
+        def counting_fit(green):
+            calls.append("fit")
+            return fit(green)
+
+        monkeypatch.setattr(ElectionDataset, "split", counting_split)
+        monkeypatch.setattr(montecarlo, "fit_through_origin", counting_fit)
+        monkeypatch.setattr(montecarlo, "BLOCK_ROWS", 16)
+        calibrate(ds, PARAMS, replications=100, seed=4)
+        assert calls == ["split", "fit"]
+        calls.clear()
+        replicate_once(ds, PARAMS, seed=4, replication=7)
+        assert calls == ["split", "fit"]
+
+    def test_no_contested_districts_rejected(self):
+        ds = small_template(n_red=0)
+        for run in (lambda: calibrate(ds, PARAMS, replications=100, seed=4),
+                    lambda: replicate_once(ds, PARAMS, seed=4, replication=0)):
+            with pytest.raises(ValidationError, match="^dataset has no contested districts$"):
+                run()
 
     def test_invalid_params_rejected(self):
         with pytest.raises(AuditError):
