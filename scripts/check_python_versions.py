@@ -11,6 +11,10 @@ byte-identical to the first interpreter's.  Then each interpreter parses a
 seeded corpus of texts built from ``CSV_CHARS`` of tests/test_data.py twice:
 as ``parse_dataset`` reads them, and with the csv.reader path forced.  Both
 must give the same dataset, or a ParseError with the same line and reason.
+Each dataset parsed, and a seeded set of datasets whose ids and names often
+need quoting, is written with ``serialize_dataset``: the text must parse to
+the same dataset and, when no field holds CR (which csv.writer quotes only
+from Python 3.13 on), equal this version's csv.writer output.
 
 Run from the repository root:
 
@@ -21,6 +25,8 @@ Run from the repository root:
 from __future__ import annotations
 
 import ast
+import csv
+import io
 import os
 import random
 import subprocess
@@ -38,6 +44,8 @@ CORPUS_SIZE = 3000
 # line breaks of str.splitlines that csv.reader reads as plain characters
 SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 TOKENS = ("0", "7", " 12 ", "", "d1", "green", "red", "dubious")
+# characters that make csv.writer quote, and blanks; csv.reader reads NUL from Python 3.11 on
+QUOTED_CHARS = ',"\r\n \ta' + ("\x00" if sys.version_info >= (3, 11) else "")
 
 
 def csv_chars() -> str:
@@ -72,8 +80,37 @@ def corpus(chars: str, size: int) -> list[str]:
     return texts
 
 
+def written_corpus(size: int) -> list:
+    """Datasets of up to six rows; ids and names are plain or mix in QUOTED_CHARS."""
+    from mvaudit.data import STATUSES, ElectionDataset
+
+    rng = random.Random(4242)
+
+    def text(plain: str) -> str:
+        mixed = "".join(rng.choices(QUOTED_CHARS, k=rng.randrange(5)))
+        return (plain if rng.random() < 0.5 else plain + mixed).strip()
+
+    datasets = []
+    for _ in range(size):
+        rows = []
+        for i in range(rng.randrange(7)):
+            total, mail = rng.randrange(1000), rng.randrange(300)
+            counts = (total, rng.randrange(total + 1), mail, rng.randrange(mail + 1))
+            rows.append((text(f"d{i}:"), text(f"Name {i}"), *counts, rng.choice(STATUSES)))
+        datasets.append(ElectionDataset(*zip(*rows)) if rows else ElectionDataset(*[()] * 7))
+    return datasets
+
+
+def writer_text(rows) -> str:
+    """The rows as this version's csv.writer writes them, with LF line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def check_corpus(size: int) -> int:
-    """Parse the corpus with and without the split path; 0 when they always agree."""
+    """Parse the corpus with and without the split path and write back what parses;
+    0 when both reads agree and every written text reads back as it should."""
     from mvaudit import data
 
     def outcome(text):
@@ -82,16 +119,31 @@ def check_corpus(size: int) -> int:
         except data.ParseError as exc:
             return exc.line, exc.reason
 
+    def written_wrong(ds):
+        text = data.serialize_dataset(ds)
+        if outcome(text) != ds:
+            return True
+        if any("\r" in field for field in (*ds.district_id, *ds.name, *ds.status)):
+            return False
+        columns = (getattr(ds, column) for column in data.HEADER)
+        return text != writer_text([data.HEADER, *zip(*columns)])
+
     texts = corpus(csv_chars(), size)
     split = [outcome(text) for text in texts]
     split_read = sum(data._split_fields(text) is not None for text in texts)
+    parsed = [ds for ds in split if isinstance(ds, data.ElectionDataset)]
+    parsed += written_corpus(size // 10)
+    wrong = [ds for ds in parsed if written_wrong(ds)]
     data._split_fields = lambda text: None
     differ = [text for text, got in zip(texts, split) if outcome(text) != got]
     print(f"{sys.version.split()[0]}: {len(texts)} texts, {split_read} read by splitting, "
-          f"{len(differ)} read differently by csv.reader")
+          f"{len(differ)} read differently by csv.reader; {len(parsed)} datasets written, "
+          f"{len(wrong)} written wrongly")
     for text in differ[:5]:
         print(f"  {text!r}")
-    return 1 if differ else 0
+    for ds in wrong[:5]:
+        print(f"  {ds!r}")
+    return 1 if differ or wrong else 0
 
 
 def main(argv: list[str]) -> int:

@@ -243,9 +243,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _int_at_least(least: int, reason: str, value: str) -> int:
+    digits = value.strip().removeprefix("-")
     try:
+        if not (digits.isascii() and digits.isdigit()):  # int() also reads "1_0", "+1" and "٣"
+            raise ValueError(value)
         n = int(value)
-    except ValueError:
+    except ValueError:  # also more digits than int() converts
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
     if n < least:
         raise argparse.ArgumentTypeError(reason)

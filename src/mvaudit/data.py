@@ -10,7 +10,8 @@ line endings.  "c1" is the candidate whose reversal chances are analyzed;
 
 A count is a string of ASCII digits 0-9 (surrounding blanks are stripped;
 no sign, underscore or other Unicode digit) of at most 4,300 digits, the
-longest Python converts to an int by default, and its value is below 2**63.
+longest Python converts to an int by default (fewer if int_max_str_digits is
+set lower: what int() refuses is a bad integer), and its value is below 2**63.
 No field may exceed the csv module's field size limit (131,072 characters).
 Anything else ends in a ParseError with the line it was found on (of
 several faults, the one on the earliest line).
@@ -23,17 +24,22 @@ every other text, so quoting, CRLF and each error's line and message stay
 as the csv module has them.
 
 An ElectionDataset holds one tuple per CSV column, in file order, and is
-checked a whole column at a time when it is built.
+checked a whole column at a time when it is built.  serialize_dataset writes
+it as csv.writer would, formatting rows itself when no id, name or status
+needs quoting (each is a str free of comma, quote, CR, LF and NUL); a field
+holding CR is quoted on every Python version, as 3.13's csv.writer does.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import suppress
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, le, not_
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import AuditError
@@ -81,14 +87,14 @@ class ValidationError(AuditError):
         super().__init__(reason)
 
 
-def _fault(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) -> str | None:
+def _fault(columns: tuple[tuple, ...], new: frozenset[str], proved: frozenset[str]) -> str | None:
     """The first rule the columns break, or None; its message names the last row's value.
 
     The rules, in order: ids neither empty nor repeated, counts (ints in
     [0, 2**63)) in column order, known statuses, candidate-1 votes within
-    their totals.  Only rules that read a column named in ``new`` run: the
-    other columns passed theirs before.  ``_check`` calls this on the
-    shortest prefix that breaks a rule, whose last row is then the one at fault.
+    their totals.  Only rules that read a column named in ``new`` run, and no
+    range rule of a column in ``proved``: those passed before.  ``_check`` calls
+    this on the shortest prefix that breaks a rule, whose last row is then the one at fault.
     """
     ids, _, *counts, statuses = columns
     if "district_id" in new and not all(ids):
@@ -96,7 +102,7 @@ def _fault(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) 
     if "district_id" in new and len(set(ids)) < len(ids):
         return f"duplicate district_id {ids[-1]!r}"
     for column, values in zip(_COUNT_COLUMNS, counts):
-        if column not in new:
+        if column not in new or column in proved:
             continue
         ints = all(map(isinstance, values, repeat(int)))
         if not (ints and 0 <= min(values, default=0) and max(values, default=0) < _COUNT_BOUND):
@@ -110,20 +116,20 @@ def _fault(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) 
     return None
 
 
-def _check(columns: tuple[tuple, ...], new: frozenset[str] = frozenset(HEADER)) -> None:
+def _check(columns: tuple[tuple, ...], new=frozenset(HEADER), proved=frozenset()) -> None:
     """Raise a ValidationError, with its row, for the first row that breaks a rule."""
     if len(set(map(len, columns))) > 1:
         raise ValidationError(f"columns differ in length: {tuple(map(len, columns))}")
-    if _fault(columns, new) is None:
+    if _fault(columns, new, proved) is None:
         return
     good, bad = 0, len(columns[0])  # the first `good` rows break no rule, the first `bad` do
     while bad - good > 1:
         middle = (good + bad) // 2
-        if _fault(tuple(c[:middle] for c in columns), new) is None:
+        if _fault(tuple(c[:middle] for c in columns), new, proved) is None:
             good = middle
         else:
             bad = middle
-    raise ValidationError(_fault(tuple(c[:bad] for c in columns), new), bad - 1)
+    raise ValidationError(_fault(tuple(c[:bad] for c in columns), new, proved), bad - 1)
 
 
 class ElectionDataset:
@@ -211,23 +217,24 @@ class RedTotals(NamedTuple):
     mail_c1: int
 
 
-def _read_counts(texts: list[str] | tuple[str, ...]) -> tuple:
-    """The fields, blanks stripped, as ints where they spell counts; the rest stay text for _check.
+def _read_counts(texts: list[str] | tuple[str, ...], short: bool) -> tuple | list:
+    """A tuple of proved counts, or a list of the stripped fields, ints where they spell counts.
 
-    The raw fields are tried before the stripped ones: counts are rarely
-    padded, and stripping every field costs more than a second try.
+    The raw fields are tried before the stripped ones: counts are rarely padded, and stripping
+    every field costs more than a second try.  ``short`` says no field exceeds _MAX_DIGITS.
     """
     for strip in False, True:
         column = tuple(map(str.strip, texts)) if strip else texts
         digits = "".join(column)
-        if all(column) and (digits.isascii() and digits.isdigit() or not digits):
-            if max(map(len, column), default=0) <= _MAX_DIGITS:
-                counts = tuple(map(int, column))
-                if max(counts, default=0) < _COUNT_BOUND:
-                    return counts
+        if digits.isascii() and (digits.isdigit() or not digits):
+            if short or max(map(len, column), default=0) <= _MAX_DIGITS:
+                with suppress(ValueError):  # an empty field, or more digits than int() takes
+                    counts = tuple(map(int, column))
+                    if max(counts, default=0) < _COUNT_BOUND:
+                        return counts
     if len(column) == 1:
-        return column
-    return tuple(chain.from_iterable(map(_read_counts, zip(column))))  # field by field
+        return list(column)
+    return list(chain.from_iterable(map(_read_counts, zip(column), repeat(short))))
 
 
 def _line_of(text: str, row: int) -> int:
@@ -239,8 +246,9 @@ def _line_of(text: str, row: int) -> int:
     return reader.line_num
 
 
-def _split_fields(text: str) -> tuple[list[str], list[str]] | None:
-    """The header and the flat data fields, split at LF and commas; None if csv.reader must read.
+def _split_fields(text: str) -> tuple[list[str], list[str], None, bool] | None:
+    """The header, the flat data fields split at LF and commas, no fault, and whether no line
+    (so no field) is longer than _MAX_DIGITS; None if csv.reader must read.
 
     Only LF ends a line, as for csv.reader; ``str.splitlines`` would also end
     one at VT, FF, FS, GS, RS, NEL, LS and PS, which csv.reader keeps in a field.
@@ -248,12 +256,13 @@ def _split_fields(text: str) -> tuple[list[str], list[str]] | None:
     if not text or '"' in text or "\r" in text or "\x00" in text:
         return None
     lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    if (longest := max(map(len, lines))) > csv.field_size_limit():
         return None
     rows = list(filter(None, islice(lines, 1, None)))
     if not {len(HEADER) - 1}.issuperset(map(str.count, rows, repeat(","))):
         return None
-    return lines[0].split(","), ",".join(rows).split(",") if rows else []
+    fields = ",".join(rows).split(",") if rows else []
+    return lines[0].split(","), fields, None, longest <= _MAX_DIGITS
 
 
 def _read_fields(text: str) -> tuple[list[str], list[str], ParseError | None]:
@@ -288,21 +297,24 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
     rejects; a fault in the rows before it is reported first.
     """
     text = source if isinstance(source, str) else source.read()
-    split = _split_fields(text)
-    header, fields, error = (*split, None) if split else _read_fields(text)
+    header, fields, error, short = _split_fields(text) or (*_read_fields(text), False)
     if header and header[0].startswith("\ufeff"):
         header = [header[0].lstrip("\ufeff"), *header[1:]]
     if tuple(h.strip() for h in header) != HEADER:
         raise ParseError(1, f"bad header: expected {','.join(HEADER)}")
     ids, names, *texts, statuses = (fields[i :: len(HEADER)] for i in range(len(HEADER)))
-    ids, names, statuses = (tuple(map(str.strip, c)) for c in (ids, names, statuses))
+    if not _STATUS_SET.issuperset(statuses):  # a known status has no blanks to strip
+        statuses = map(str.strip, statuses)
+    counts = [_read_counts(column, short) for column in texts]  # a list holds a non-count
+    proved = frozenset(compress(_COUNT_COLUMNS, map(isinstance, counts, repeat(tuple))))
+    columns = (*(tuple(map(str.strip, c)) for c in (ids, names)), *counts, tuple(statuses))
     try:
-        ds = ElectionDataset(ids, names, *map(_read_counts, texts), statuses)
+        _check(columns, proved=proved)
     except ValidationError as exc:
         raise ParseError(_line_of(text, exc.row), str(exc)) from None
     if error is not None:
         raise error
-    return ds
+    return ElectionDataset._of(columns)
 
 
 def load_dataset(path: str | Path) -> ElectionDataset:
@@ -320,11 +332,16 @@ def load_dataset(path: str | Path) -> ElectionDataset:
 
 def serialize_dataset(ds: ElectionDataset) -> str:
     """Emit the dataset in the canonical CSV dialect (LF, trailing newline)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEADER)
-    writer.writerows(zip(*_FIELDS(ds)))
-    return out.getvalue()
+    rows = chain((HEADER,), zip(*_FIELDS(ds)))
+    try:
+        text = "".join(chain(ds.district_id, ds.name, ds.status))
+    except TypeError:  # a value that is not a str: csv.writer converts it
+        text = '"'
+    if not any(map(text.__contains__, ',"\r\n\x00')):
+        return "".join(map("%s,%s,%s,%s,%s,%s,%s\n".__mod__, rows))
+    lines = []  # a CR in the line terminator quotes a field holding CR, as Python 3.13 does
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def contested_statuses(include_dubious: bool) -> set[str]:

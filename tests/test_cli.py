@@ -482,6 +482,31 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.endswith(f"mvaudit {argv[0]}: error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scenario", "--votes", "1_0"),
+            ("scenario", "--votes", "٣"),
+            ("scenario", "--votes", "+5"),
+            ("scenario", "--votes", "9" * 5000),
+            ("calibrate", "--reps", "1_000"),
+            ("calibrate", "--reps", "１０００"),
+        ],
+        ids=["underscore", "arabic_indic", "sign", "over_int_digits", "reps_1_000", "fullwidth"],
+    )
+    def test_only_ascii_digits_are_integers(self, capsys, fixture_arg, argv):
+        # the CSV parser reads counts the same way
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], fixture_arg, *argv[1:]])
+        assert exc.value.code == 2
+        message = f"argument {argv[1]}: not an integer: {argv[2]!r}"
+        assert capsys.readouterr().err.endswith(f"mvaudit {argv[0]}: error: {message}\n")
+
+    def test_blanks_around_votes_are_stripped(self, capsys, fixture_arg):
+        code, out, _ = run(capsys, "scenario", fixture_arg, "--votes", " 7 ", "--json")
+        assert code == 0
+        assert json.loads(out)["votes_moved_total"] == 7
+
 
 PINNED_STDERR = {
     "scenario": "moved 1000 mail votes to candidate 1; resulting margin -28863 for candidate 1\n"

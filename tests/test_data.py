@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 from unittest import mock
 
 import pytest
@@ -156,16 +157,77 @@ district_strategy = st.builds(
 )
 
 
+# characters a name may hold that need quoting or stripping: separators, the quote, CR,
+# LF, blanks and a BOM; csv.reader reads NUL from Python 3.11 on
+NAME_CHARS = ',"\r\n \t\ufeffAz' + ("\x00" if sys.version_info >= (3, 11) else "")
+# what the parser gives back for a name: surrounding blanks stripped
+parsed_names = st.text(alphabet=NAME_CHARS, max_size=6).map(str.strip)
+
+
+def writer_text(ds: ElectionDataset) -> str:
+    """The dataset as csv.writer writes it, with LF line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(HEADER)
+    writer.writerows(zip(*(getattr(ds, column) for column in HEADER)))
+    return out.getvalue()
+
+
+@st.composite
+def written_datasets(draw):
+    """Datasets whose ids, names and statuses csv.writer writes alike on every Python:
+    str without CR (some plain, some needing quotes), or ids and names of other types."""
+    text = st.text(alphabet=NAME_CHARS.replace("\r", ""), max_size=5)
+    ids = draw(st.lists(st.one_of(text.filter(bool), st.integers(1, 99)), max_size=8, unique=True))
+    names = st.one_of(text, text, st.none(), st.integers(), st.floats(allow_nan=False))
+    rows = [
+        (i, draw(names), 10, draw(st.integers(0, 10)), 5, draw(st.integers(0, 5)),
+         draw(st.sampled_from(STATUSES)))
+        for i in ids
+    ]
+    return dataset_of(rows)
+
+
 class TestRoundTripProperty:
     @given(
-        st.lists(district_strategy, min_size=0, max_size=25, unique_by=lambda d: d[0])
+        st.lists(
+            st.builds(lambda row, name: (row[0], name, *row[2:]), district_strategy, parsed_names),
+            min_size=0,
+            max_size=25,
+            unique_by=lambda d: d[0],
+        )
     )
     @settings(max_examples=60)
+    @example([("h1", "A\rB", 10, 5, 10, 5, "red"), ("h2", 'x, "y"\nz', 3, 1, 2, 0, "green")])
+    @example([("h0001", "Hyp 1", 10, 5, 10, 5, "red")])
     def test_parse_serialize_parse(self, districts):
         ds = dataset_of(districts)
         text = serialize_dataset(ds)
         assert parse_dataset(text) == ds
         assert serialize_dataset(parse_dataset(text)) == text
+
+    @given(written_datasets())
+    @settings(max_examples=200)
+    @example(dataset_of([("d1", "Plain name", 10, 5, 10, 5, "red")]))
+    @example(
+        dataset_of(
+            [("d1", 'Comma, "quote"', 10, 5, 10, 5, "red"), ("d2", "L\nF", 1, 0, 0, 0, "green")]
+        )
+    )
+    @example(dataset_of([(7, None, 10, 5, 10, 5, "red"), ("d2", 2.5, 1, 0, 0, 0, "dubious")]))
+    def test_serialize_writes_as_csv_writer(self, ds):
+        assert serialize_dataset(ds) == writer_text(ds)
+
+    def test_cr_in_a_name_is_quoted(self):
+        ds = dataset_of([("1", "A\rB", 100, 40, 50, 20, "green"), ("2", "C", 9, 9, 0, 0, "red")])
+        text = serialize_dataset(ds)
+        assert text == csv_of('1,"A\rB",100,40,50,20,green', "2,C,9,9,0,0,red")
+        assert parse_dataset(text) == ds
+
+    def test_plain_rows_need_no_csv_writer(self, dataset):
+        with mock.patch("mvaudit.data.csv.writer", side_effect=AssertionError("csv.writer ran")):
+            text = serialize_dataset(dataset)
+        assert text == writer_text(dataset)
 
 
 COUNT_CORRUPTIONS = ("١٠٠", "²", "+5", "5_0", " 7 ", "", "-1", "9" * 4301)
@@ -352,6 +414,45 @@ class TestSplitPath:
         with mock.patch("mvaudit.data.csv.reader", side_effect=RuntimeError("csv.reader ran")):
             with pytest.raises(RuntimeError, match="csv.reader ran"):
                 parse_dataset(text)
+
+
+class TestCountColumnFaults:
+    """Faults that the one-pass count reader must still find, with oracle lines and reasons."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("blank", ["", "  "])
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("column", range(2, 6))
+    def test_empty_field_fails_as_oracle_says(self, column, row, blank, newline):
+        rows = [[str(i), f"N{i}", "100", "40", "50", "20", "green"] for i in range(3)]
+        rows[row][column] = blank
+        text = csv_of(*map(",".join, rows)).replace("\n", newline)
+        with pytest.raises(ParseError) as expected:
+            csv_oracle.parse(text)
+        with pytest.raises(ParseError) as got:
+            parse_dataset(text)
+        assert (got.value.line, got.value.reason) == (expected.value.line, expected.value.reason)
+        assert got.value.reason == f"bad integer in column {HEADER[column]}: ''"
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "long_line"])
+    @pytest.mark.parametrize("count", ["9" * 700, "0" * 700 + "7"], ids=["nines", "padded_seven"])
+    def test_count_int_refuses_is_bad_integer(self, count, layout):
+        # a lowered limit makes int() refuse counts the 4,300-digit rule allows
+        name = "x" * 5000 if layout == "long_line" else "A"
+        text = csv_of(f"1,{name},100,40,50,20,green", f"2,B,100,40,{count},0,red")
+        text = text.replace("\n", "\r\n") if layout == "crlf" else text
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_dataset(text)
+            assert len(parse_dataset(csv_of("1,A,100,40,50,20,green"))) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        reason = f"bad integer in column mail_total: {count!r}"
+        assert (exc.value.line, exc.value.reason) == (3, reason)
+        if count.startswith("0"):  # under the default limit it is a count
+            assert parse_dataset(text).mail_total == (50, 7)
 
 
 FAR_FAULTS = {
