@@ -8,9 +8,12 @@ scenario never import numpy.  For every CSV file given, the commands
 
 run under each interpreter with src/ on the path, and their output must be
 byte-identical to the first interpreter's.  Then each interpreter parses a
-seeded corpus of texts built from ``CSV_CHARS`` of tests/test_data.py twice:
-as ``parse_dataset`` reads them, and with the csv.reader path forced.  Both
-must give the same dataset, or a ParseError with the same line and reason.
+seeded corpus twice: as ``parse_dataset`` reads them, and with the csv.reader
+path forced.  Both must give the same dataset, or a ParseError with the same
+line and reason.  Half the corpus is texts built from ``CSV_CHARS`` of
+tests/test_data.py, which rarely parse; the other half is seeded valid
+datasets as csv.writer writes them, most changed lightly, so that most of
+them parse with rows.  Some parsed dataset must have a row.
 Each dataset parsed, and a seeded set of datasets whose ids and names often
 need quoting, is written with ``serialize_dataset``: the text must parse to
 the same dataset and, when no field holds CR (which csv.writer quotes only
@@ -40,7 +43,7 @@ COMMANDS = (
     ["validate", "--json"],
     ["scenario", "--json"],
 )
-CORPUS_SIZE = 3000
+CORPUS_SIZE = 6000
 # line breaks of str.splitlines that csv.reader reads as plain characters
 SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 TOKENS = ("0", "7", " 12 ", "", "d1", "green", "red", "dubious")
@@ -80,11 +83,11 @@ def corpus(chars: str, size: int) -> list[str]:
     return texts
 
 
-def written_corpus(size: int) -> list:
+def written_corpus(size: int, seed: int = 4242) -> list:
     """Datasets of up to six rows; ids and names are plain or mix in QUOTED_CHARS."""
     from mvaudit.data import STATUSES, ElectionDataset
 
-    rng = random.Random(4242)
+    rng = random.Random(seed)
 
     def text(plain: str) -> str:
         mixed = "".join(rng.choices(QUOTED_CHARS, k=rng.randrange(5)))
@@ -99,6 +102,38 @@ def written_corpus(size: int) -> list:
             rows.append((text(f"d{i}:"), text(f"Name {i}"), *counts, rng.choice(STATUSES)))
         datasets.append(ElectionDataset(*zip(*rows)) if rows else ElectionDataset(*[()] * 7))
     return datasets
+
+
+def mutated_corpus(chars: str, size: int) -> list[str]:
+    """Seeded valid datasets as csv.writer writes them, each left as it is or
+    given one light change, which it may not survive."""
+    from mvaudit.data import HEADER
+
+    rng = random.Random(1605)
+    alphabet = chars + SPLITLINES_BREAKS
+    texts = []
+    for ds in written_corpus(size, seed=1605):
+        rows = [list(row) for row in zip(*(getattr(ds, column) for column in HEADER))]
+        change = rng.randrange(8)
+        if rows and change == 1:  # blanks around a count
+            row = rng.choice(rows)
+            column = rng.randrange(2, 6)
+            row[column] = f" {row[column]} "
+        elif rows and change == 2:  # one field replaced
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = rng.choice(TOKENS)
+        elif rows and change == 3:  # a row repeated
+            rows.append(list(rng.choice(rows)))
+        text = writer_text([HEADER, *rows])
+        if change == 4:
+            text = text.replace("\n", "\r\n")
+        elif change == 5:
+            text = text.rstrip("\n")
+        elif change == 6:  # one character replaced
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+        texts.append(text)
+    return texts
 
 
 def writer_text(rows) -> str:
@@ -128,22 +163,24 @@ def check_corpus(size: int) -> int:
         columns = (getattr(ds, column) for column in data.HEADER)
         return text != writer_text([data.HEADER, *zip(*columns)])
 
-    texts = corpus(csv_chars(), size)
+    chars = csv_chars()
+    texts = corpus(chars, size // 2) + mutated_corpus(chars, size - size // 2)
     split = [outcome(text) for text in texts]
     split_read = sum(data._split_fields(text) is not None for text in texts)
     parsed = [ds for ds in split if isinstance(ds, data.ElectionDataset)]
+    with_rows = sum(len(ds) > 0 for ds in parsed)
     parsed += written_corpus(size // 10)
     wrong = [ds for ds in parsed if written_wrong(ds)]
     data._split_fields = lambda text: None
     differ = [text for text, got in zip(texts, split) if outcome(text) != got]
     print(f"{sys.version.split()[0]}: {len(texts)} texts, {split_read} read by splitting, "
-          f"{len(differ)} read differently by csv.reader; {len(parsed)} datasets written, "
-          f"{len(wrong)} written wrongly")
+          f"{with_rows} parsed with rows, {len(differ)} read differently by csv.reader; "
+          f"{len(parsed)} datasets written, {len(wrong)} written wrongly")
     for text in differ[:5]:
         print(f"  {text!r}")
     for ds in wrong[:5]:
         print(f"  {ds!r}")
-    return 1 if differ or wrong else 0
+    return 1 if differ or wrong or not with_rows else 0
 
 
 def main(argv: list[str]) -> int:

@@ -8,6 +8,7 @@ output is deterministic given the arguments (and seed where applicable);
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -17,11 +18,10 @@ from functools import partial
 from . import __version__
 from .data import contested_statuses, half_margin, load_dataset, serialize_dataset
 from .errors import AuditError
-from .montecarlo import ModelParameters, calibrate
+from .montecarlo import calibrate
 from .prediction import analyze_dataset, prediction_interval
 from .scenario import build_reversal_scenario
 from .svgplot import render_scatter
-from .wls import fit_through_origin
 
 DEFAULT_SEED = 20160522
 
@@ -177,26 +177,22 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     ds = load_dataset(args.input)
-    k, sigma = args.k, args.sigma
-    if k is None or sigma is None:
-        fit = fit_through_origin(ds.split(args.include_dubious)[0])
-        k = fit.slope if k is None else k
-        sigma = math.sqrt(fit.sigma2) if sigma is None else sigma
-    params = ModelParameters(k=k, sigma=sigma)
     report = calibrate(
-        ds, params, replications=args.reps, seed=args.seed, include_dubious=args.include_dubious
+        ds, (args.k, args.sigma), replications=args.reps, seed=args.seed,
+        include_dubious=args.include_dubious,
     )
     if args.json:
         payload = report._asdict()
+        model = payload.pop("model")
         payload["command"] = "calibrate"
-        payload["model_k"] = params.k
-        payload["model_sigma"] = params.sigma
-        payload["quantile_errors"] = {str(k_): v for k_, v in report.quantile_errors.items()}
+        payload["model_k"] = model.k
+        payload["model_sigma"] = model.sigma
+        payload["quantile_errors"] = {str(p): v for p, v in report.quantile_errors.items()}
         _print_json(payload)
         return 0
     print(f"replications         : {report.replications} (failed: {report.failed_replications})")
     print(f"seed                 : {report.seed}")
-    print(f"model slope / sigma  : {_fmt(params.k)} / {_fmt(params.sigma)}")
+    print(f"model slope / sigma  : {_fmt(report.model.k)} / {_fmt(report.model.sigma)}")
     print(f"degrees of freedom   : {report.dof}")
     print(f"KS distance          : {_fmt(report.ks_distance)}")
     for p, err in sorted(report.quantile_errors.items()):
@@ -325,10 +321,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("plot requires --out")
     # numpy loads on first use; no BLAS call pays for a worker thread per CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # a command builds no reference cycles worth collecting; the collector
+    # would only rescan the freshly parsed columns
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (AuditError, OSError) as exc:
         return _error(str(exc), getattr(args, "json", False))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ standardize the realized contested aggregate with ``prediction._standardize``.
 ``mvaudit.montecarlo`` computes the same statistics for a block of
 replications at once; ``tests/test_montecarlo.py`` requires the two to agree
 bit for bit.  ``simulate_election`` returns a whole simulated dataset, for
-tests that run the analysis on it.
+tests that run the analysis on it.  ``ks_distance`` evaluates the t cdf at
+every sample, the reference for the library's bracketed search.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from mvaudit.data import HEADER, ElectionDataset, aggregate_red, contested_statuses
 from mvaudit.montecarlo import ModelParameters, ReplicationOutcome
 from mvaudit.prediction import _standardize
+from mvaudit.special import student_t_cdf
 from mvaudit.wls import InsufficientDataError, RankDeficiencyError, fit_through_origin
 
 
@@ -82,6 +84,15 @@ def replicate_once(
         return ReplicationOutcome(None, realized, n_clamped)
     _, _, t = _standardize(fit.slope, fit.sigma2, fit.s_xx, aggregate_red(red), realized)
     return ReplicationOutcome(t, realized, n_clamped)
+
+
+def ks_distance(sorted_values: np.ndarray, dof: float) -> float:
+    """Kolmogorov-Smirnov distance of sorted samples to the t cdf, from every sample."""
+    n = len(sorted_values)
+    cdf = np.array([student_t_cdf(v, dof) for v in sorted_values])
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))
 
 
 class OracleCalibration(NamedTuple):

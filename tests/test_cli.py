@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import re
 
 import pytest
 
+from mvaudit import cli
 from mvaudit.cli import main
 from mvaudit.data import load_dataset, parse_dataset
 
@@ -101,6 +103,20 @@ def zero_contested_csv(tmp_path):
         "2,B,1200,500,300,140,green\n"
         "3,C,900,300,250,70,green\n"
         "4,D,100,0,0,0,red\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.fixture()
+def thin_csv(tmp_path):
+    # one accepted district has no mail votes, leaving a single one to fit
+    path = tmp_path / "thin.csv"
+    path.write_text(
+        "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+        "1,A,1000,400,200,90,green\n"
+        "2,B,1000,500,0,0,green\n"
+        "3,C,1000,450,300,120,red\n",
         encoding="utf-8",
     )
     return str(path)
@@ -375,17 +391,8 @@ class TestCalibrate:
         assert code == 0
         assert payload["model_k"] == 0.18
 
-    def test_too_few_fitted_districts_exits_one(self, capsys, tmp_path):
-        # one accepted district has no mail votes, leaving a single one to fit
-        path = tmp_path / "thin.csv"
-        path.write_text(
-            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
-            "1,A,1000,400,200,90,green\n"
-            "2,B,1000,500,0,0,green\n"
-            "3,C,1000,450,300,120,red\n",
-            encoding="utf-8",
-        )
-        args = ("calibrate", str(path), "--reps", "100", "--k", "0.4", "--sigma", "2")
+    def test_too_few_fitted_districts_exits_one(self, capsys, thin_csv):
+        args = ("calibrate", thin_csv, "--reps", "100", "--k", "0.4", "--sigma", "2")
         code, out, err = run(capsys, *args)
         assert code == 1 and out == ""
         assert "at least 2 districts" in err
@@ -414,6 +421,28 @@ class TestCalibrate:
         code, out, _ = run(capsys, *args, "--json")
         assert code == 1
         assert "prediction sd is 0" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "csv, model, message",
+        [
+            # a default k or sigma needs the fit, which is checked before the
+            # seed; a given model is checked before the seed and the fit after it
+            ("thin_csv", (),
+             "through-origin fit needs at least 2 districts with mail votes, got 1"),
+            ("thin_csv", ("--sigma", "0"),
+             "through-origin fit needs at least 2 districts with mail votes, got 1"),
+            ("thin_csv", ("--k", "0.4", "--sigma", "2"), "seed must be in [0, 2**128), got -1"),
+            ("thin_csv", ("--k", "0.4", "--sigma", "0"), "sigma must be positive, got 0.0"),
+            ("exact_fit_csv", ("--k", "0.4"), "sigma must be positive, got 0.0"),
+            ("zero_contested_csv", (), "seed must be in [0, 2**128), got -1"),
+            ("all_green_csv", (), "seed must be in [0, 2**128), got -1"),
+            ("all_green_csv", ("--k", "nan"), "k must be finite, got nan"),
+        ],
+    )
+    def test_first_error_is_reported(self, capsys, request, csv, model, message):
+        path = request.getfixturevalue(csv)
+        code, out, err = run(capsys, "calibrate", path, "--reps", "100", *model, "--seed", "-1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_out_of_range_seed_exits_one(self, capsys, fixture_arg, seed):
@@ -452,6 +481,34 @@ class TestValidate:
         assert code == 1
         error = json.loads(out)["error"]
         assert error["type"] == "data" and error["message"].startswith(message)
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, monkeypatch, fixture_arg, bad_csv, enabled):
+        # off while a command runs; afterwards as the caller left it, however main ends
+        during = []
+        load = cli.load_dataset
+
+        def recording(path):
+            during.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_dataset", recording)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["validate", fixture_arg]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["validate", bad_csv]) == 1
+            assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", fixture_arg, "--bogus"])
+            assert exc.value.code == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert during == [False, False]
 
 
 class TestUsage:

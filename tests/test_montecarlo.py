@@ -1,5 +1,6 @@
 """Model simulation and calibration of the standardized statistic."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,16 +12,21 @@ from mvaudit.data import ElectionDataset, ValidationError, aggregate_red
 from mvaudit import montecarlo
 from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
+    _KS_SLACK,
     BLOCK_ELEMENTS,
     BLOCK_ROWS,
     ModelParameters,
     _float_columns,
+    _fsums,
+    _ks_distance,
     _mail_counts,
     _standard_normals,
     calibrate,
     replicate_once,
 )
+from mvaudit import cli
 from mvaudit.prediction import analyze_dataset, reversal_probability
+from mvaudit.special import student_t_cdf
 from mvaudit.wls import fit_through_origin
 from tests import mc_oracle
 from tests.conftest import dataset_of, make_random_dataset, rows_of
@@ -193,9 +199,10 @@ class TestCalibrate:
             counts.append(len(conversions))
         assert counts[0] == counts[1] > 0
 
-    def test_observed_side_is_set_up_once_per_call(self, monkeypatch):
-        # one split and one fit of the observed data, whatever the block count
-        ds = small_template()
+    def test_observed_side_is_set_up_once_per_call(self, monkeypatch, fixture_csv_path):
+        # one split and one fit of the observed data, whatever the block count,
+        # and also when the CLI takes its default k and sigma from that fit
+        ds = make_random_dataset(np.random.default_rng(3))
         calls = []
         split, fit = ElectionDataset.split, montecarlo.fit_through_origin
 
@@ -209,12 +216,31 @@ class TestCalibrate:
 
         monkeypatch.setattr(ElectionDataset, "split", counting_split)
         monkeypatch.setattr(montecarlo, "fit_through_origin", counting_fit)
+        monkeypatch.setattr(cli, "fit_through_origin", counting_fit, raising=False)
         monkeypatch.setattr(montecarlo, "BLOCK_ROWS", 16)
         calibrate(ds, PARAMS, replications=100, seed=4)
         assert calls == ["split", "fit"]
         calls.clear()
+        calibrate(ds, (None, None), replications=100, seed=4)
+        assert calls == ["split", "fit"]
+        calls.clear()
         replicate_once(ds, PARAMS, seed=4, replication=7)
         assert calls == ["split", "fit"]
+        calls.clear()
+        assert cli.main(["calibrate", str(fixture_csv_path), "--reps", "100", "--json"]) == 0
+        assert calls == ["split", "fit"]
+
+    @pytest.mark.parametrize("model", [(None, None), (0.3, None), (None, 3.0)])
+    def test_fitted_defaults_are_the_observed_fit(self, model):
+        # a None in (k, sigma) is the observed fit's slope or residual sd, and
+        # the report is the one that model, given in full, produces
+        ds = make_random_dataset(np.random.default_rng(3))
+        fit = fit_through_origin(ds.split()[0])
+        fitted = ModelParameters(k=fit.slope, sigma=math.sqrt(fit.sigma2))
+        k, sigma = (f if m is None else m for m, f in zip(model, fitted))
+        report = calibrate(ds, model, replications=100, seed=4)
+        assert report.model == (k, sigma)
+        assert report == calibrate(ds, ModelParameters(k, sigma), replications=100, seed=4)
 
     def test_no_contested_districts_rejected(self):
         ds = small_template(n_red=0)
@@ -237,6 +263,8 @@ class TestAnalysisPathAgreement:
         replication=st.integers(0, 10_000),
         include_dubious=st.booleans(),
     )
+    # every simulated mail_c1 of the fitted districts clamps to 0: the refit is exact
+    @example(data_seed=967, seed=20160522, replication=500, include_dubious=False)
     @settings(max_examples=40)
     def test_replication_reproduces_analysis(self, data_seed, seed, replication, include_dubious):
         # a replication must compute exactly the statistic analyze reports on
@@ -261,7 +289,10 @@ class TestAnalysisPathAgreement:
         realized = aggregate_red(red).mail_c1
         report = reversal_probability(fit_through_origin(green), red, threshold=realized)
         assert outcome.red_mail_c1 == realized
-        assert outcome.t_stat.hex() == report.t_stat.hex()
+        if report.pred_sd == 0.0:  # a replication without a t statistic
+            assert outcome.t_stat is None
+        else:
+            assert outcome.t_stat.hex() == report.t_stat.hex()
 
         calibrated = calibrate(ds, params, replications=100, seed=seed, include_dubious=include_dubious)
         assert calibrated.dof == analyze_dataset(ds, include_dubious=include_dubious).fit.dof
@@ -350,3 +381,165 @@ class TestScalarOracleAgreement:
         assert report.mean_red_mail_c1.hex() == oracle.mean_red_mail_c1.hex()
         if case == "noise_free":
             assert report.failed_replications == replications
+
+
+# math.fsum's cases: (m terms, one column per sum) blocks for _fsums
+SPECIAL_TERMS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 2.0**-53, -2.0**-54,
+                 2.0**53, 1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+TERMS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals and signed zeros
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from(SPECIAL_TERMS),
+)
+
+
+@st.composite
+def term_blocks(draw):
+    """An (m, width) block; with cancellation, the second half of each column
+    negates the first, some terms nudged by one ulp."""
+    m = draw(st.integers(1, 40))
+    columns = draw(st.lists(st.lists(TERMS, min_size=m, max_size=m), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        half = m // 2
+        for column in columns:
+            nudges = draw(st.lists(st.booleans(), min_size=half, max_size=half))
+            column[half : 2 * half] = [
+                -math.nextafter(x, 0.0) if nudge else -x for x, nudge in zip(column, nudges)
+            ]
+    width = draw(st.sampled_from([1, 2, 3, 255, 256]))
+    return block_of(*columns, width=width)
+
+
+def block_of(*columns, width=None):
+    """The columns side by side, repeated to ``width`` columns."""
+    rows = np.array(columns, dtype=float)
+    return np.ascontiguousarray(np.resize(rows, (width or len(rows), rows.shape[1])).T)
+
+
+def outcome(sums, terms):
+    try:
+        return [x.hex() for x in sums(terms)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+TIE = 2.0**-54  # half an ulp of 1 from below
+
+
+class TestFsums:
+    @given(terms=term_blocks())
+    # heavy cancellation
+    @example(terms=block_of([1e16, 1.0, -1e16, 2.0**-40], [1e308, -1e308, 1e-308, 3.0]))
+    # exponents from 1e-300 to 1e300
+    @example(terms=block_of([1e300, 1e-300, -1e300, 3e-300], [1e-300, 1e300, 1.0, -1e-300]))
+    # subnormals and signed zeros
+    @example(terms=block_of([5e-324, -5e-324, 1e-320, -2.5e-320], [-0.0, -0.0, -0.0, -0.0],
+                            [0.0, -0.0, 0.0, -0.0], [2.0**-1022, -5e-324, 0.0, 0.0]))
+    # exact half-ulp ties, at a power of two and between
+    @example(terms=block_of([1.0, -TIE, -2.0**-107], [1.0, -TIE, 2.0**-107], [1.0, 2.0**-53, 0.0],
+                            [2.0**53, 1.0, 0.0], [1.0 + 2.0**-52, 2.0**-53, 0.0]))
+    @example(terms=block_of([2.0**-1021, -5e-324, 0.0], [4.0, -2.0**-51, -2.0**-104]))
+    # inf and NaN: a value, or what math.fsum raises for the first column that raises
+    @example(terms=block_of([math.inf, 1.0], [math.nan, 1.0], [math.inf, math.nan]))
+    @example(terms=block_of([1.0, 2.0], [math.inf, -math.inf], [1e308, 1e308]))
+    @example(terms=block_of([1e308, 1e308, -1e308], [math.inf, -math.inf, 1.0]))
+    # math.fsum overflows in a partial sum that the pairwise tree never forms
+    @example(terms=block_of([1e308, 1e308, -1e308, 0.0]))
+    # one term, and an odd count
+    @example(terms=block_of([3.0], [-0.0], [5e-324]))
+    @example(terms=block_of([1.0, 2.0**-60, 2.0**-120, -1.0, 7.0]))
+    # a block of one replication and one of 256
+    @example(terms=block_of([0.1] * 99))
+    @example(terms=block_of([0.1] * 99, [1.0, -TIE, -2.0**-107] * 33, width=256))
+    @settings(max_examples=300)
+    def test_fsums_equal_math_fsum(self, terms):
+        expected = outcome(lambda t: [math.fsum(c) for c in t.T.tolist()], terms)
+        assert outcome(lambda t: _fsums(t).tolist(), terms) == expected
+
+
+@functools.cache
+def branch_switch(nu):
+    """(before, after): nearby samples close to |t| = 3**0.5, where the t cdf
+    at ``nu`` falls most as its continued fraction changes branch."""
+    t = -math.sqrt(nu * ((0.5 * nu + 2.5) / (0.5 * nu + 1.0) - 1.0))
+    before, after = t - 1e-6, t + 1e-6
+    for _ in range(2):  # a coarse scan, then a fine one across its steepest fall
+        ts = np.linspace(before, after, 2001).tolist()
+        cdf = [student_t_cdf(x, nu) for x in ts]
+        i = min(range(len(ts) - 1), key=lambda i: cdf[i + 1] - cdf[i])
+        before, after = ts[i], ts[i + 1]
+    return before, after
+
+
+def straddled_maximum(nu=1e8, n=33):
+    """n sorted samples whose largest distance is at the sample before the
+    last, inside a block whose bounds miss it by the cdf's fall at the branch
+    switch unless the slack covers that fall.
+
+    Sample 0 sits before the fall and 1 .. n-2 after it; the last sits where
+    the cdf has risen by 1/n, less half the fall, from sample 0.
+    """
+    before, after = branch_switch(nu)
+    fall = student_t_cdf(before, nu) - student_t_cdf(after, nu)
+    target = student_t_cdf(before, nu) + 1 / n - fall / 2
+    lo, hi = after, 0.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if student_t_cdf(mid, nu) < target else (lo, mid)
+    return np.array([before] + [after] * (n - 2) + [lo])
+
+
+KS_DOFS = [1, 2.5, 102, 105, 1e5, 1e8]
+
+
+@st.composite
+def ks_samples(draw):
+    """Sorted samples from a t law, shifted and scaled, often rounded into ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    law = draw(st.sampled_from([1.0, 4.0, 100.0]))
+    values = rng.standard_t(law, n) * draw(st.sampled_from([0.5, 1.0, 1.1])) + draw(
+        st.sampled_from([0.0, 0.05, -0.3])
+    )
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    return np.sort(values if decimals is None else np.round(values, decimals))
+
+
+class TestKsDistance:
+    @given(sorted_values=ks_samples(), dof=st.sampled_from(KS_DOFS))
+    @example(sorted_values=straddled_maximum(), dof=1e8)
+    @example(sorted_values=np.sort(np.random.default_rng(1).standard_t(4.0, 3000)), dof=105)
+    @example(sorted_values=np.round(np.sort(np.random.default_rng(2).standard_normal(3000)), 1),
+             dof=1e5)
+    @example(sorted_values=np.array([0.7]), dof=1)
+    @settings(max_examples=40)
+    def test_equals_full_evaluation(self, sorted_values, dof):
+        expected = mc_oracle.ks_distance(sorted_values, dof)
+        assert _ks_distance(sorted_values, dof).hex() == expected.hex()
+
+    @given(
+        ts=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=200),
+        dof=st.sampled_from(KS_DOFS),
+    )
+    @example(ts=list(branch_switch(1e8)), dof=1e8)
+    @example(ts=list(branch_switch(1e5)), dof=1e5)
+    def test_cdf_rises_over_sorted_inputs(self, ts, dof):
+        # the bracketing rests on this: where the cdf falls, as at its branch
+        # switch, the fall must stay far inside _KS_SLACK
+        cdf = [student_t_cdf(t, dof) for t in sorted(ts)]
+        assert min(b - a for a, b in zip(cdf, cdf[1:])) > -_KS_SLACK / 100
+
+    @pytest.mark.parametrize("variant", [(), ("--include-dubious",)])
+    def test_cli_calibrate_evaluates_few_cdf_values(self, monkeypatch, fixture_csv_path, variant):
+        # 2,000 samples, of which at most 300 need the cdf
+        calls = []
+
+        def counting(t, nu):
+            calls.append(t)
+            return student_t_cdf(t, nu)
+
+        monkeypatch.setattr(montecarlo, "student_t_cdf", counting)
+        argv = ["calibrate", str(fixture_csv_path), "--reps", "2000", *variant, "--json"]
+        assert cli.main(argv) == 0
+        assert 0 < len(calls) <= 300
