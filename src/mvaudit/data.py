@@ -90,19 +90,23 @@ class ValidationError(AuditError):
 def _fault(columns: tuple[tuple, ...], new: frozenset[str], proved: frozenset[str]) -> str | None:
     """The first rule the columns break, or None; its message names the last row's value.
 
-    The rules, in order: ids neither empty nor repeated, counts (ints in
-    [0, 2**63)) in column order, known statuses, candidate-1 votes within
-    their totals.  Only rules that read a column named in ``new`` run, and no
-    range rule of a column in ``proved``: those passed before.  ``_check`` calls
-    this on the shortest prefix that breaks a rule, whose last row is then the one at fault.
+    The rules, in order: str ids and names, ids neither empty nor repeated, counts
+    (ints in [0, 2**63)) in column order, known statuses, candidate-1 votes within their
+    totals.  Only rules that read a column named in ``new`` run, and no type or range rule
+    of a column in ``proved``: those passed before.  ``_check`` calls this on the shortest
+    prefix that breaks a rule, whose last row is then the one at fault.
     """
-    ids, _, *counts, statuses = columns
+    ids, names, *counts, statuses = columns
+    typed = new - proved  # the columns whose type and range rules run
+    for column, values in ("district_id", ids), ("name", names):
+        if column in typed and not all(map(isinstance, values, repeat(str))):
+            return f"{column} is not a str: {values[-1]!r}"
     if "district_id" in new and not all(ids):
         return "empty district_id"
     if "district_id" in new and len(set(ids)) < len(ids):
         return f"duplicate district_id {ids[-1]!r}"
     for column, values in zip(_COUNT_COLUMNS, counts):
-        if column not in new or column in proved:
+        if column not in typed:
             continue
         ints = all(map(isinstance, values, repeat(int)))
         if not (ints and 0 <= min(values, default=0) and max(values, default=0) < _COUNT_BOUND):
@@ -306,7 +310,8 @@ def parse_dataset(source: str | TextIO) -> ElectionDataset:
     if not _STATUS_SET.issuperset(statuses):  # a known status has no blanks to strip
         statuses = map(str.strip, statuses)
     counts = [_read_counts(column, short) for column in texts]  # a list holds a non-count
-    proved = frozenset(compress(_COUNT_COLUMNS, map(isinstance, counts, repeat(tuple))))
+    proved_counts = compress(_COUNT_COLUMNS, map(isinstance, counts, repeat(tuple)))
+    proved = frozenset({"district_id", "name", *proved_counts})  # the parser makes only str
     columns = (*(tuple(map(str.strip, c)) for c in (ids, names)), *counts, tuple(statuses))
     try:
         _check(columns, proved=proved)
@@ -333,10 +338,7 @@ def load_dataset(path: str | Path) -> ElectionDataset:
 def serialize_dataset(ds: ElectionDataset) -> str:
     """Emit the dataset in the canonical CSV dialect (LF, trailing newline)."""
     rows = chain((HEADER,), zip(*_FIELDS(ds)))
-    try:
-        text = "".join(chain(ds.district_id, ds.name, ds.status))
-    except TypeError:  # a value that is not a str: csv.writer converts it
-        text = '"'
+    text = "".join(chain(ds.district_id, ds.name, ds.status))
     if not any(map(text.__contains__, ',"\r\n\x00')):
         return "".join(map("%s,%s,%s,%s,%s,%s,%s\n".__mod__, rows))
     lines = []  # a CR in the line terminator quotes a field holding CR, as Python 3.13 does

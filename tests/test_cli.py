@@ -365,9 +365,9 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "variant, digest",
         [
-            ((), "b1224bcde093c864513475d88551025fc994447ba6290071fb43379080c636de"),
+            ((), "96daa2cf19aa3ba6f0486dd8b4f2653b12d8bdb367b8277df22b905354a16eaa"),
             (("--include-dubious",),
-             "df7131a3b0f1060fd8895cff24e1b140fb47e56bb9cb3391ef5b330fde3d58ff"),
+             "0372bf126ebd64b03e2a0abe1cb0064e952654e4f688210849bc9585a08c5eb1"),
         ],
     )
     def test_default_seed_output_is_pinned(self, capsys, fixture_arg, variant, digest):

@@ -2,9 +2,10 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvaudit.special import (
@@ -64,9 +65,18 @@ class TestLogBeta:
     )
     @settings(max_examples=200)
     def test_cached_value_is_the_formula(self, a, b):
+        # the log-gamma branch: every (a, b) but b = 1/2 with a >= 16
+        assume(b != 0.5 or a < 16.0)
         expected = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
         assert _log_beta(a, b).hex() == expected.hex()
-        assert _log_beta(a, b).hex() == expected.hex()  # from the cache
+        assert _log_beta(a, b).hex() == _log_beta.__wrapped__(a, b).hex()  # from the cache
+
+    @pytest.mark.parametrize("n", [16, 17, 52, 53, 100, 1000, 5000, 20000])
+    def test_half_series_against_exact_beta(self, n):
+        # B(n, 1/2) = 4^n n! (n-1)! / (2n)!, rounded once to a double and logged
+        exact = math.log(float(Fraction(4**n * math.factorial(n) * math.factorial(n - 1),
+                                        math.factorial(2 * n))))
+        assert abs(_log_beta(float(n), 0.5) - exact) <= 4 * math.ulp(exact)
 
 
 class TestRegIncBeta:
@@ -122,6 +132,12 @@ class TestStudentTSf:
     )
     def test_closed_forms(self, t, nu, expected):
         assert student_t_sf(t, nu).value == pytest.approx(expected, rel=1e-14)
+
+    def test_nu_beyond_the_continued_fraction(self):
+        # the complement branch leaves 1 - I <= 0: a typed error naming t and nu
+        with pytest.raises(DomainError, match=r"t=1\.0, nu=1e\+16"):
+            student_t_sf(1.0, 1e16)
+        assert 0.0 < student_t_sf(1.1287823048921275, 218627611809579.62).value < 0.5
 
     def test_cauchy_closed_form_deep(self):
         # SF(t, 1) = atan(1/t)/pi for t > 0: exercises extreme arguments
