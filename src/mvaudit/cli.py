@@ -20,7 +20,7 @@ from .data import contested_statuses, half_margin, load_dataset, serialize_datas
 from .errors import AuditError
 from .montecarlo import calibrate
 from .prediction import analyze_dataset, prediction_interval
-from .scenario import build_reversal_scenario
+from .scenario import ALLOCATION_BASES, build_reversal_scenario
 from .svgplot import render_scatter
 
 DEFAULT_SEED = 20160522
@@ -43,9 +43,9 @@ def _print_json(obj) -> None:
     print(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False))
 
 
-def _error(message: str, as_json: bool, kind: str = "data") -> int:
+def _error(message: str, as_json: bool) -> int:
     if as_json:
-        _print_json({"error": {"type": kind, "message": message}})
+        _print_json({"error": {"type": "data", "message": message}})
     else:
         print(f"error: {message}", file=sys.stderr)
     return 1
@@ -238,7 +238,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(least: int, reason: str, value: str) -> int:
+def _int(value: str, least: float = -math.inf, reason: str = "") -> int:
     digits = value.strip().removeprefix("-")
     try:
         if not (digits.isascii() and digits.isdigit()):  # int() also reads "1_0", "+1" and "٣"
@@ -251,8 +251,8 @@ def _int_at_least(least: int, reason: str, value: str) -> int:
     return n
 
 
-_nonnegative_int = partial(_int_at_least, 0, "must be nonnegative")
-_reps = partial(_int_at_least, 100, "need at least 100 replications")
+_nonnegative_int = partial(_int, least=0, reason="must be nonnegative")
+_reps = partial(_int, least=100, reason="need at least 100 replications")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--votes", type=_nonnegative_int, help="mail votes to reassign")
             p.add_argument(
                 "--base",
-                choices=["mail_total", "mail_c2"],
+                choices=ALLOCATION_BASES,
                 default="mail_total",
                 help="proportional allocation base (default: mail_total)",
             )
         if seed:
             p.add_argument(
-                "--seed", type=int, default=DEFAULT_SEED, help="PRNG seed, 0 <= seed < 2**128"
+                "--seed", type=_int, default=DEFAULT_SEED, help="PRNG seed, 0 <= seed < 2**128"
             )
         if out:
             p.add_argument("--out", help="output file path")

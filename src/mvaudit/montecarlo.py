@@ -227,6 +227,11 @@ def _replications(
     return outcomes
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**128:  # the Philox key
+        raise AuditError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def replicate_once(
     ds: ElectionDataset,
     params: ModelParameters,
@@ -241,6 +246,9 @@ def replicate_once(
     reversal probability.  The dataset must have contested districts and its
     observed accepted side must admit a fit; the errors are ``calibrate``'s.
     """
+    _check_seed(seed)
+    if not 0 <= replication < 2**64:  # one word of the Philox counter
+        raise AuditError(f"replication must be in [0, 2**64), got {replication}")
     green, red = ds.split(include_dubious)
     totals = aggregate_red(red)
     fit = fit_through_origin(green)
@@ -272,7 +280,7 @@ class CalibrationReport(NamedTuple):
 # How far below the largest distance found a block's bounds must lie before its
 # samples go unevaluated.  student_t_cdf is monotone only up to its own error:
 # near |t| = 3**0.5, where its continued fraction changes branch, it falls by
-# 2e-11 at nu = 1e5, 5e-9 at nu = 1e8 and 5e-7 at nu = 1e10.
+# 4.6e-12 at nu = 1e5, 5.1e-9 at nu = 1e8 and 5.1e-7 at nu = 1e10.
 _KS_SLACK = 1e-6
 
 
@@ -338,8 +346,7 @@ def calibrate(
         k = fit.slope if k is None else k
         sigma = math.sqrt(fit.sigma2) if sigma is None else sigma
     params = ModelParameters(k, sigma)
-    if not 0 <= seed < 2**128:
-        raise AuditError(f"seed must be in [0, 2**128), got {seed}")
+    _check_seed(seed)
     totals = aggregate_red(red)
     if fit is None:
         fit = fit_through_origin(green)

@@ -10,7 +10,6 @@ standard library, whose ``math.lgamma`` is the log-gamma used here.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -65,7 +64,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@lru_cache(maxsize=64)  # every tail call at one nu needs log B(nu/2, 1/2)
 def _log_beta(a: float, b: float) -> float:
     if b == 0.5 and a >= 16.0:
         # ln Gamma(a) - ln Gamma(a + 1/2) cancels; its large-a series does not
@@ -126,17 +124,19 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def _inc_beta(a: float, b: float, x: float, xc: float) -> tuple[bool, float]:
-    """I_x(a, b) for 0 < x < 1, from x and xc = 1 - x each computed by the caller.
+def _inc_beta(a: float, b: float, x: float, xc: float) -> tuple[float, float]:
+    """(I_x(a, b), its log) for 0 < x < 1, from x and xc = 1 - x each computed by the caller.
 
     The continued fraction runs on whichever of I_x(a, b) and I_xc(b, a) is
-    the numerically smaller branch.  Returns (True, log I_x(a, b)) for the
-    first and (False, 1 - I_x(a, b)) for the second.
+    the numerically smaller branch; on the second, I = 1 - I_xc(b, a), whose
+    log is -inf where that leaves nothing.
     """
     ln_front = a * math.log(x) + b * math.log(xc) - _log_beta(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        return True, ln_front + math.log(_beta_cf(a, b, x)) - math.log(a)
-    return False, math.exp(ln_front) * _beta_cf(b, a, xc) / b
+        log_value = ln_front + math.log(_beta_cf(a, b, x)) - math.log(a)
+        return math.exp(log_value), log_value
+    value = 1.0 - math.exp(ln_front) * _beta_cf(b, a, xc) / b
+    return value, math.log(value) if value > 0.0 else -math.inf
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -154,8 +154,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     if x == 0.5 and a == b:
         return 0.5
-    direct, value = _inc_beta(a, b, x, 1.0 - x)
-    return math.exp(value) if direct else 1.0 - value
+    return _inc_beta(a, b, x, 1.0 - x)[0]
 
 
 def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
@@ -168,22 +167,19 @@ def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
     b = 0.5
     t2 = t * t
     denom = nu + t2
-    if math.isinf(t2) or denom == math.inf:
+    if denom == math.inf:
         # Beyond double range for x; only the log survives.
         ln_x = math.log(nu) - 2.0 * math.log(t)
         log_value = _LN_HALF + a * ln_x - _log_beta(a, b) - math.log(a)
         return 0.0, log_value
     x = nu / denom
     xc = t2 / denom
-    if t == 0.0 or xc == 0.0:
+    if xc == 0.0:
         return 0.5, _LN_HALF
-    direct, value = _inc_beta(a, b, x, xc)
-    if direct:
-        return 0.5 * math.exp(value), _LN_HALF + value
-    if value >= 1.0:  # the complement leaves no tail: nu is too large for the continued fraction
+    value, log_value = _inc_beta(a, b, x, xc)
+    if log_value == -math.inf:  # the complement left no tail: nu is too large for the fraction
         raise DomainError(f"t tail at t={t!r}, nu={nu!r} is beyond the continued fraction's reach")
-    value = 0.5 * (1.0 - value)
-    return value, math.log(value)
+    return 0.5 * value, _LN_HALF + log_value
 
 
 def student_t_sf(t: float, nu: float) -> TailProbability:
@@ -231,20 +227,16 @@ def student_t_quantile(p: float, nu: float) -> float:
 
 
 def _t_isf(alpha: float, nu: float) -> float:
-    """Solve student_t_sf(t, nu) == alpha for t >= 0 (alpha <= 0.5)."""
+    """Solve student_t_sf(t, nu) == alpha for t >= 0 (alpha <= 0.5): double, then bisect."""
     lo = 0.0
     hi = 1.0
-    while student_t_sf(hi, nu).value > alpha:
+    while student_t_sf(hi, nu).value > alpha:  # the public sf raises once hi overflows
         lo = hi
         hi *= 2.0
-    for _ in range(200):
+    while hi - lo > 1e-15 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         if student_t_sf(mid, nu).value > alpha:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            break
     return 0.5 * (lo + hi)

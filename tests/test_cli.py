@@ -369,6 +369,7 @@ class TestCalibrate:
             (("--include-dubious",),
              "0372bf126ebd64b03e2a0abe1cb0064e952654e4f688210849bc9585a08c5eb1"),
         ],
+        ids=["M11", "M14"],
     )
     def test_default_seed_output_is_pinned(self, capsys, fixture_arg, variant, digest):
         # sha256 of the whole --json output at the default seed: a changed
@@ -548,8 +549,12 @@ class TestUsage:
             ("scenario", "--votes", "9" * 5000),
             ("calibrate", "--reps", "1_000"),
             ("calibrate", "--reps", "１０００"),
+            ("calibrate", "--seed", "1_0"),
+            ("calibrate", "--seed", "٣"),
+            ("calibrate", "--seed", "+5"),
         ],
-        ids=["underscore", "arabic_indic", "sign", "over_int_digits", "reps_1_000", "fullwidth"],
+        ids=["underscore", "arabic_indic", "sign", "over_int_digits", "reps_1_000", "fullwidth",
+             "seed_underscore", "seed_arabic_indic", "seed_sign"],
     )
     def test_only_ascii_digits_are_integers(self, capsys, fixture_arg, argv):
         # the CSV parser reads counts the same way
@@ -582,6 +587,7 @@ PINNED_STDERR = {
         (("calibrate", "--reps", "200"),
          "1464852eee9df097f2a31cde0f0bdcba567ebc1f1aa804b657eb8a8479bd8013"),
     ],
+    ids=["analyze", "analyze_M14_level", "validate", "scenario", "calibrate"],
 )
 def test_plain_text_output_is_pinned(capsys, fixture_arg, argv, digest):
     # sha256 of the whole text stdout on the fixture: a changed label, format

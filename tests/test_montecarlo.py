@@ -249,6 +249,28 @@ class TestCalibrate:
             with pytest.raises(ValidationError, match="^dataset has no contested districts$"):
                 run()
 
+    @pytest.mark.parametrize(
+        "seed, replication, message",
+        [
+            (-1, 0, "seed must be in [0, 2**128), got -1"),
+            (2**128, 0, f"seed must be in [0, 2**128), got {2**128}"),
+            (-1, -5, "seed must be in [0, 2**128), got -1"),
+            (4, -5, "replication must be in [0, 2**64), got -5"),
+            (4, 2**64, f"replication must be in [0, 2**64), got {2**64}"),
+        ],
+        ids=["seed_negative", "seed_too_large", "seed_first", "replication_negative",
+             "replication_too_large"],
+    )
+    def test_replicate_once_checks_its_arguments(self, seed, replication, message):
+        # calibrate's seed rule, and the replication is one 64-bit Philox counter word
+        with pytest.raises(AuditError) as exc:
+            replicate_once(small_template(), PARAMS, seed=seed, replication=replication)
+        assert str(exc.value) == message
+
+    def test_replicate_once_takes_the_largest_seed_and_replication(self):
+        outcome = replicate_once(small_template(), PARAMS, seed=2**128 - 1, replication=2**64 - 1)
+        assert outcome.t_stat is not None
+
     def test_invalid_params_rejected(self):
         with pytest.raises(AuditError):
             ModelParameters(k=0.5, sigma=0.0)

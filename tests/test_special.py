@@ -64,12 +64,11 @@ class TestLogBeta:
         st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=200)
-    def test_cached_value_is_the_formula(self, a, b):
+    def test_log_gamma_branch_is_the_formula(self, a, b):
         # the log-gamma branch: every (a, b) but b = 1/2 with a >= 16
         assume(b != 0.5 or a < 16.0)
         expected = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
         assert _log_beta(a, b).hex() == expected.hex()
-        assert _log_beta(a, b).hex() == _log_beta.__wrapped__(a, b).hex()  # from the cache
 
     @pytest.mark.parametrize("n", [16, 17, 52, 53, 100, 1000, 5000, 20000])
     def test_half_series_against_exact_beta(self, n):
