@@ -2,42 +2,44 @@
 
 figure1.svg shows the counted results; figure2.svg shows the counterfactual
 where half the official margin (rounded up) has been reassigned to candidate
-1 across the contested districts.
+1 across the contested districts.  Both go through the CLI's ``plot`` command;
+the number of votes to move is what ``scenario`` moves by default.
 
 Run from the repository root:  python3 scripts/make_figures.py
 """
 
 from __future__ import annotations
 
+import io
+import json
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mvaudit.data import half_margin  # noqa: E402
-from mvaudit.fixtures import load_fixture  # noqa: E402
-from mvaudit.scenario import build_reversal_scenario  # noqa: E402
-from mvaudit.svgplot import render_scatter  # noqa: E402
+from mvaudit.cli import main as cli_main  # noqa: E402
+from mvaudit.fixtures import fixture_path  # noqa: E402
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "figures"
 
 
-def main() -> None:
+def main() -> int:
     OUT_DIR.mkdir(exist_ok=True)
-    ds = load_fixture()
-    (OUT_DIR / "figure1.svg").write_text(
-        render_scatter(ds, title="Mail vs ballot vote shares - official results"),
-        encoding="utf-8",
-    )
-    _, red = ds.split()
-    votes = half_margin(ds.margin_official)
-    modified = build_reversal_scenario(ds, red, votes).modified
-    (OUT_DIR / "figure2.svg").write_text(
-        render_scatter(modified, title="Mail vs ballot vote shares - modified results"),
-        encoding="utf-8",
-    )
-    print(f"wrote {OUT_DIR}/figure1.svg and figure2.svg (moved {votes} votes)")
+    fixture = str(fixture_path())
+    summary = io.StringIO()
+    with redirect_stdout(summary):
+        code = cli_main(["scenario", fixture, "--json"])
+    if code != 0:
+        sys.stderr.write(summary.getvalue())
+        return code
+    votes = json.loads(summary.getvalue())["votes_moved_total"]
+    for name, moved in (("figure1.svg", []), ("figure2.svg", ["--votes", str(votes)])):
+        code = cli_main(["plot", fixture, *moved, "--out", str(OUT_DIR / name)])
+        if code != 0:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 data/validation error, 2 usage error.  All numeric
 output is deterministic given the arguments (and seed where applicable);
-``--json`` emits schema-stable objects with full-precision floats.
+``--json`` emits schema-stable objects with full-precision floats.  ``main``
+loads the input and writes the payload a ``cmd_*`` handler returns, or the error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .data import contested_statuses, half_margin, load_dataset, serialize_dataset
+from .data import ElectionDataset, contested_statuses, half_margin, load_dataset, serialize_dataset
 from .errors import AuditError
 from .montecarlo import calibrate
 from .prediction import analyze_dataset, prediction_interval
@@ -43,49 +44,39 @@ def _print_json(obj) -> None:
     print(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False))
 
 
-def _error(message: str, as_json: bool) -> int:
-    if as_json:
-        _print_json({"error": {"type": "data", "message": message}})
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.input)
+def cmd_analyze(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     result = analyze_dataset(ds, include_dubious=args.include_dubious, strict=args.strict)
     fit, report = result.fit, result.report
     interval = None if args.level is None else prediction_interval(report, args.level)
+    payload = {
+        "command": "analyze",
+        "variant": report.variant,
+        "n_districts": len(ds),
+        "n_green": result.n_green,
+        "n_red": result.n_red,
+        "n_used": fit.n_used,
+        "excluded": list(fit.excluded),
+        "margin_official": result.margin_official,
+        "slope": fit.slope,
+        "sigma2": fit.sigma2,
+        "slope_var": fit.slope_var,
+        "dof": report.dof,
+        "red_ballot_c1": report.red_ballot_c1,
+        "red_mail_total": report.red_mail_total,
+        "red_mail_c1": report.red_mail_c1,
+        "reversal_threshold": report.threshold,
+        "point_prediction": report.prediction,
+        "pred_sd": report.pred_sd,
+        "t_stat": report.t_stat,
+        "p_reversal": report.p_reversal.value,
+        "log10_p_reversal": report.p_reversal.log10,
+        "degenerate": report.degenerate,
+        "prediction_interval": None
+        if interval is None
+        else {"level": interval.level, "lower": interval.lower, "upper": interval.upper},
+    }
     if args.json:
-        payload = {
-            "command": "analyze",
-            "variant": report.variant,
-            "n_districts": len(ds),
-            "n_green": result.n_green,
-            "n_red": result.n_red,
-            "n_used": fit.n_used,
-            "excluded": list(fit.excluded),
-            "margin_official": result.margin_official,
-            "slope": fit.slope,
-            "sigma2": fit.sigma2,
-            "slope_var": fit.slope_var,
-            "dof": report.dof,
-            "red_ballot_c1": report.red_ballot_c1,
-            "red_mail_total": report.red_mail_total,
-            "red_mail_c1": report.red_mail_c1,
-            "reversal_threshold": report.threshold,
-            "point_prediction": report.prediction,
-            "pred_sd": report.pred_sd,
-            "t_stat": report.t_stat,
-            "p_reversal": report.p_reversal.value,
-            "log10_p_reversal": report.p_reversal.log10,
-            "degenerate": report.degenerate,
-            "prediction_interval": None
-            if interval is None
-            else {"level": interval.level, "lower": interval.lower, "upper": interval.upper},
-        }
-        _print_json(payload)
-        return 0
+        return payload
     print(f"districts            : {len(ds)} ({result.n_green} accepted, {result.n_red} contested)")
     excluded = f"{len(fit.excluded)} without mail votes excluded"
     if fit.excluded:
@@ -118,11 +109,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     elif args.level is not None:
         print("no interval: degenerate fit")
-    return 0
+    return payload
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.input)
+def cmd_scenario(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     _, red = ds.split(args.include_dubious)
     votes = args.votes
     if votes is None:
@@ -147,19 +137,17 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
-    if args.json:
-        _print_json(summary if args.out else {**summary, "csv": csv_text})
-    elif args.out:
-        print(moved)
-        print(f"modified dataset written to {args.out}")
-    else:
+        if not args.json:
+            print(moved)
+            print(f"modified dataset written to {args.out}")
+        return summary
+    if not args.json:
         sys.stdout.write(csv_text)
         print(moved, file=sys.stderr)
-    return 0
+    return {**summary, "csv": csv_text}
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.input)
+def cmd_plot(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     title = "Mail vs ballot vote shares - official results"
     if args.votes is not None:
         _, red = ds.split(args.include_dubious)
@@ -170,26 +158,22 @@ def cmd_plot(args: argparse.Namespace) -> int:
         fh.write(svg)
     if not args.json:
         print(f"wrote {args.out}")
-    else:
-        _print_json({"command": "plot", "output": args.out, "districts": len(ds)})
-    return 0
+    return {"command": "plot", "output": args.out, "districts": len(ds)}
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.input)
+def cmd_calibrate(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     report = calibrate(
         ds, (args.k, args.sigma), replications=args.reps, seed=args.seed,
         include_dubious=args.include_dubious,
     )
+    payload = report._asdict()
+    model = payload.pop("model")
+    payload["command"] = "calibrate"
+    payload["model_k"] = model.k
+    payload["model_sigma"] = model.sigma
+    payload["quantile_errors"] = {str(p): v for p, v in report.quantile_errors.items()}
     if args.json:
-        payload = report._asdict()
-        model = payload.pop("model")
-        payload["command"] = "calibrate"
-        payload["model_k"] = model.k
-        payload["model_sigma"] = model.sigma
-        payload["quantile_errors"] = {str(p): v for p, v in report.quantile_errors.items()}
-        _print_json(payload)
-        return 0
+        return payload
     print(f"replications         : {report.replications} (failed: {report.failed_replications})")
     print(f"seed                 : {report.seed}")
     print(f"model slope / sigma  : {_fmt(report.model.k)} / {_fmt(report.model.sigma)}")
@@ -200,11 +184,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"clamped fraction     : {_fmt(report.clamped_fraction)}")
     print(f"mean contested mail  : {_fmt(report.mean_red_mail_c1)}")
     print(f"model expectation    : {_fmt(report.expected_red_mail_c1)}")
-    return 0
+    return payload
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.input)
+def cmd_validate(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     red11, red14 = (sum(map(ds.count_status, contested_statuses(flag))) for flag in (False, True))
     payload = {
         "command": "validate",
@@ -220,22 +203,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "zero_mail_districts": ds.mail_total.count(0),
     }
     if args.json:
-        _print_json(payload)
-    else:
-        print(f"districts        : {payload['districts']}")
-        print(
-            f"status counts    : {payload['green']} green, {payload['red']} red, "
-            f"{payload['dubious']} dubious"
-        )
-        print(
-            f"partitions       : default {tuple(payload['partition_default'])}, "
-            f"with dubious {tuple(payload['partition_include_dubious'])}"
-        )
-        print(f"official margin  : {payload['margin_official']}")
-        print(f"total valid votes: {payload['total_votes']}")
-        print(f"mail votes       : {payload['mail_votes']}")
-        print("dataset OK")
-    return 0
+        return payload
+    print(f"districts        : {payload['districts']}")
+    print(
+        f"status counts    : {payload['green']} green, {payload['red']} red, "
+        f"{payload['dubious']} dubious"
+    )
+    print(
+        f"partitions       : default {tuple(payload['partition_default'])}, "
+        f"with dubious {tuple(payload['partition_include_dubious'])}"
+    )
+    print(f"official margin  : {payload['margin_official']}")
+    print(f"total valid votes: {payload['total_votes']}")
+    print(f"mail votes       : {payload['mail_votes']}")
+    print("dataset OK")
+    return payload
 
 
 def _int(value: str, least: float = -math.inf, reason: str = "") -> int:
@@ -263,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, level=False, votes=False, seed=False, out=False):
+    def common(p: argparse.ArgumentParser, level=False, votes=False, seed=False):
         p.add_argument("input", help="district results CSV")
         p.add_argument(
             "--include-dubious",
@@ -285,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--seed", type=_int, default=DEFAULT_SEED, help="PRNG seed, 0 <= seed < 2**128"
             )
-        if out:
-            p.add_argument("--out", help="output file path")
 
     p = sub.add_parser("analyze", help="fit the model and report the reversal probability")
     common(p, level=True)
@@ -294,11 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scenario", help="emit a counterfactual dataset with reassigned mail votes")
-    common(p, votes=True, out=True)
+    common(p, votes=True)
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("plot", help="emit an SVG scatter of mail vs ballot shares")
-    common(p, votes=True, out=True)
+    common(p, votes=True)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("calibrate", help="Monte Carlo check of the t-statistic distribution")
@@ -315,10 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "plot" and not args.out:
-        parser.error("plot requires --out")
+    args = build_parser().parse_args(argv)
     # numpy loads on first use; no BLAS call pays for a worker thread per CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # a command builds no reference cycles worth collecting; the collector
@@ -326,9 +305,16 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        payload = args.func(load_dataset(args.input), args)
+        if args.json:
+            _print_json(payload)
+        return 0
     except (AuditError, OSError) as exc:
-        return _error(str(exc), getattr(args, "json", False))
+        if args.json:
+            _print_json({"error": {"type": "data", "message": str(exc)}})
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if collecting:
             gc.enable()

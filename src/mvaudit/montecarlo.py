@@ -106,14 +106,15 @@ def _mail_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated mail_c1 counts, one row per replication, and the clamps per row.
 
-    ``columns`` are the dataset's ``_float_columns``.
+    ``columns`` are the dataset's ``_float_columns``.  A district without mail
+    votes, whose count is 0 in every draw, is not counted as a clamp.
     """
     import numpy as np
     ballot_c1, mail_total, root_mail_total = columns
     z = _standard_normals(seed, replications, len(ballot_c1))
     raw = np.rint(params.k * ballot_c1 + z * params.sigma * root_mail_total)
     clamped = np.clip(raw, 0.0, mail_total)
-    return clamped.astype(int), np.count_nonzero(clamped != raw, axis=1)
+    return clamped.astype(int), np.count_nonzero((clamped != raw) & (mail_total > 0), axis=1)
 
 
 class ReplicationOutcome(NamedTuple):

@@ -76,7 +76,6 @@ def _log_beta(a: float, b: float) -> float:
 
 
 _CF_MAX_ITER = 500
-_CF_TOL = 1e-16
 _CF_FPMIN = 1e-300
 
 
@@ -85,6 +84,8 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
     Valid (fast-converging) for x < (a + 1)/(a + b + 2); the caller is
     responsible for routing the complementary case through (b, a, 1 - x).
+    Step m applies its two partial numerators in turn and stops once the
+    second leaves the value unchanged: its factor is then exactly 1.0.
     """
     qab = a + b
     qap = a + 1.0
@@ -97,28 +98,21 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h_next = h * delta
-        if abs(delta - 1.0) < _CF_TOL or h_next == h:
-            return h_next
-        h = h_next
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            last = h
+            d = 1.0 + aa * d
+            if abs(d) < _CF_FPMIN:
+                d = _CF_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _CF_FPMIN:
+                c = _CF_FPMIN
+            d = 1.0 / d
+            h *= d * c
+        if h == last:
+            return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
@@ -168,10 +162,10 @@ def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
     t2 = t * t
     denom = nu + t2
     if denom == math.inf:
-        # Beyond double range for x; only the log survives.
+        # t^2 is beyond double range, so x = nu / t^2 is taken in log space
         ln_x = math.log(nu) - 2.0 * math.log(t)
         log_value = _LN_HALF + a * ln_x - _log_beta(a, b) - math.log(a)
-        return 0.0, log_value
+        return math.exp(log_value), log_value
     x = nu / denom
     xc = t2 / denom
     if xc == 0.0:

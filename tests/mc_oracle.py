@@ -36,13 +36,13 @@ def standard_normals(seed: int, replication: int, n: int) -> np.ndarray:
 def simulate_mail_counts(
     ds: ElectionDataset, params: ModelParameters, seed: int, replication: int
 ) -> tuple[np.ndarray, int]:
-    """Simulated mail_c1 counts for every district, plus how many clamped."""
+    """Simulated mail_c1 counts for every district, plus how many with mail votes clamped."""
     ballot_c1 = np.array(ds.ballot_c1, dtype=float)
     mail_total = np.array(ds.mail_total, dtype=float)
     z = standard_normals(seed, replication, len(ds))
     raw = np.rint(params.k * ballot_c1 + z * params.sigma * np.sqrt(mail_total))
     clamped = np.clip(raw, 0.0, mail_total)
-    n_clamped = int(np.sum(clamped != raw))
+    n_clamped = int(np.sum((clamped != raw) & (mail_total > 0)))
     return clamped.astype(int), n_clamped
 
 

@@ -157,6 +157,33 @@ class TestAnalyze:
         assert payload["n_green"] == 106 and payload["n_red"] == 11
         assert payload["reversal_threshold"] == 49911
 
+    def test_strict_raises_an_even_margin_threshold_by_one(self, capsys, tmp_path):
+        # official margin 1010: half of it ties, one vote more wins outright
+        path = tmp_path / "even_margin.csv"
+        path.write_text(
+            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+            "1,A,1000,400,200,90,green\n"
+            "2,B,1200,500,300,140,green\n"
+            "3,C,900,300,250,70,green\n"
+            "4,D,1000,450,300,120,red\n",
+            encoding="utf-8",
+        )
+        payloads = []
+        for strict in ((), ("--strict",)):
+            code, out, _ = run(capsys, "analyze", str(path), "--json", *strict)
+            assert code == 0
+            payloads.append(json.loads(out))
+        plain, strict = payloads
+        assert plain["margin_official"] == 1010
+        assert plain["reversal_threshold"] == 120 + 505
+        assert strict["reversal_threshold"] == plain["reversal_threshold"] + 1
+
+    def test_strict_leaves_an_odd_margin_unchanged(self, capsys, fixture_arg):
+        code, plain, _ = run(capsys, "analyze", fixture_arg, "--json")
+        assert code == 0 and json.loads(plain)["margin_official"] == 30863
+        code, strict, _ = run(capsys, "analyze", fixture_arg, "--json", "--strict")
+        assert code == 0 and strict == plain
+
     def test_exclusions_reported(self, capsys, fixture_arg, tmp_path):
         _, out, _ = run(capsys, "analyze", fixture_arg, "--json")
         assert (json.loads(out)["n_used"], json.loads(out)["excluded"]) == (106, [])
@@ -347,6 +374,8 @@ class TestPlot:
         with pytest.raises(SystemExit) as exc:
             main(["plot", fixture_arg])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("mvaudit plot: error: the following arguments are required: --out\n")
 
 
 class TestCalibrate:

@@ -149,6 +149,20 @@ class TestCalibrate:
         assert report.t_stats == ()
         assert math.isnan(report.ks_distance)
 
+    def test_district_without_mail_votes_is_not_a_clamp(self):
+        # g3's draw rint(0.4 * 300) is clipped to its only possible count, 0, in
+        # every replication; the others stay within [0, mail_total]
+        template = dataset_of(
+            (
+                ("g1", "G1", 1000, 500, 400, 200, "green"),
+                ("g2", "G2", 1000, 250, 400, 100, "green"),
+                ("g3", "G3", 1000, 300, 0, 0, "green"),
+                ("r1", "R1", 1000, 400, 400, 160, "red"),
+            )
+        )
+        report = calibrate(template, ModelParameters(k=0.4, sigma=1e-6), 100, seed=3)
+        assert report.clamped_fraction == 0.0
+
     def test_loose_ks_on_small_run(self, dataset):
         green, _ = dataset.split()
         fit = fit_through_origin(green)

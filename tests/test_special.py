@@ -144,6 +144,18 @@ class TestStudentTSf:
             expected = math.atan(1.0 / t) / math.pi
             assert student_t_sf(t, 1).value == pytest.approx(expected, rel=1e-12)
 
+    def test_cauchy_where_t_squared_overflows(self):
+        # past t = sqrt(DBL_MAX) ~ 1.34e154 the tail is taken from log(nu / t^2),
+        # and its value must not fall to 0 there
+        t, p = 1e155, 1e-156
+        tail = math.atan2(1.0, t) / math.pi
+        assert math.isclose(student_t_sf(t, 1).value, tail, rel_tol=1e-12)
+        assert math.isclose(student_t_cdf(-t, 1), tail, rel_tol=1e-12)
+        assert math.isclose(student_t_quantile(p, 1), -1.0 / math.tan(math.pi * p), rel_tol=1e-12)
+        grid = [1.3e154 + 1e149 * i for i in range(1001)]
+        values = [student_t_sf(x, 1).value for x in grid]
+        assert all(u >= v for u, v in zip(values, values[1:]))
+
     def test_oracle_table(self, t_oracle):
         for entry in t_oracle["sf_cdf"]:
             nu, t = entry["nu"], entry["t"]
