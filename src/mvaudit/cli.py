@@ -188,13 +188,13 @@ def cmd_calibrate(ds: ElectionDataset, args: argparse.Namespace) -> dict:
 
 
 def cmd_validate(ds: ElectionDataset, args: argparse.Namespace) -> dict:
-    red11, red14 = (sum(map(ds.count_status, contested_statuses(flag))) for flag in (False, True))
+    red11, red14 = (sum(map(ds.status.count, contested_statuses(flag))) for flag in (False, True))
     payload = {
         "command": "validate",
         "districts": len(ds),
-        "green": ds.count_status("green"),
-        "red": ds.count_status("red"),
-        "dubious": ds.count_status("dubious"),
+        "green": ds.status.count("green"),
+        "red": ds.status.count("red"),
+        "dubious": ds.status.count("dubious"),
         "partition_default": [len(ds) - red11, red11],
         "partition_include_dubious": [len(ds) - red14, red14],
         "margin_official": ds.margin_official,
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, level=False, votes=False, seed=False):
+    def common(p: argparse.ArgumentParser, votes=False):
         p.add_argument("input", help="district results CSV")
         p.add_argument(
             "--include-dubious",
@@ -253,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="treat the dubious districts as contested (14 instead of 11)",
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if level:
-            p.add_argument("--level", type=float, help="also report this prediction-interval level")
         if votes:
             p.add_argument("--votes", type=_nonnegative_int, help="mail votes to reassign")
             p.add_argument(
@@ -263,13 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
                 default="mail_total",
                 help="proportional allocation base (default: mail_total)",
             )
-        if seed:
-            p.add_argument(
-                "--seed", type=_int, default=DEFAULT_SEED, help="PRNG seed, 0 <= seed < 2**128"
-            )
 
     p = sub.add_parser("analyze", help="fit the model and report the reversal probability")
-    common(p, level=True)
+    common(p)
+    p.add_argument("--level", type=float, help="also report this prediction-interval level")
     p.add_argument("--strict", action="store_true", help="strict-win threshold (ties lose)")
     p.set_defaults(func=cmd_analyze)
 
@@ -284,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("calibrate", help="Monte Carlo check of the t-statistic distribution")
-    common(p, seed=True)
+    common(p)
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED, help="PRNG seed, 0 <= seed < 2**128")
     p.add_argument("--reps", type=_reps, default=10_000, help="replications (>= 100)")
     p.add_argument("--k", type=float, help="true model slope (default: fitted)")
     p.add_argument("--sigma", type=float, help="true model noise scale (default: fitted)")

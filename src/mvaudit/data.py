@@ -40,7 +40,7 @@ from itertools import chain, compress, islice, repeat
 from operator import attrgetter, le, not_
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple
 
 from .errors import AuditError
 
@@ -182,9 +182,6 @@ class ElectionDataset:
     def __len__(self) -> int:
         return len(self.district_id)
 
-    def count_status(self, status: str) -> int:
-        return self.status.count(status)
-
     @cached_property
     def margin_official(self) -> int:
         """Candidate-2 total minus candidate-1 total over all districts."""
@@ -294,13 +291,12 @@ def _read_fields(text: str) -> tuple[list[str], list[str], ParseError | None]:
     return header, fields, error
 
 
-def parse_dataset(source: str | TextIO) -> ElectionDataset:
-    """Parse and validate a dataset from CSV text or a text stream.
+def parse_dataset(text: str) -> ElectionDataset:
+    """Parse and validate a dataset from CSV text.
 
     Rows are read up to the first one that the csv module or the column count
     rejects; a fault in the rows before it is reported first.
     """
-    text = source if isinstance(source, str) else source.read()
     header, fields, error, short = _split_fields(text) or (*_read_fields(text), False)
     if header and header[0].startswith("\ufeff"):
         header = [header[0].lstrip("\ufeff"), *header[1:]]

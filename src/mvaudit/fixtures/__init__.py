@@ -10,6 +10,8 @@ project README for how it was built.
 from importlib.resources import files
 from pathlib import Path
 
+__all__ = ["FIXTURE_NAME", "fixture_path", "load_fixture"]
+
 FIXTURE_NAME = "austria2016.csv"
 
 

@@ -179,12 +179,12 @@ def _replications(
     seed: int,
     replications: range,
     include_dubious: bool,
-) -> list[ReplicationOutcome]:
-    """The outcomes of ``replications``, simulated a block at a time.
+) -> tuple[list[float | None], list[int], list[int]]:
+    """The (t_stats, realized, n_clamped) columns of ``replications``, in order.
 
-    ``fit`` is the observed accepted side's and ``totals`` the contested
-    side's; see the module docstring for what each replication takes from
-    them.
+    A t statistic is None where pred_sd is 0.  ``fit`` is the observed
+    accepted side's and ``totals`` the contested side's; see the module
+    docstring for what each replication takes from them.
     """
     import numpy as np
     if totals.ballot_c1 == 0 and totals.mail_total == 0:
@@ -192,6 +192,13 @@ def _replications(
             "contested districts have neither candidate-1 ballot votes nor mail votes: "
             "the prediction sd is 0 in every replication"
         )
+    top_mail = max(ds.mail_total)
+    if top_mail >= 2**53:
+        raise AuditError(f"mail_total {top_mail} is 2**53 or more: counts are drawn as doubles")
+    # 53-bit uniforms keep every Box-Muller |z| below 8.58
+    k, sigma = params
+    if not math.isfinite(abs(k) * max(ds.ballot_c1) + 8.6 * sigma * math.sqrt(top_mail)):
+        raise AuditError(f"model k={k!r}, sigma={sigma!r} overflows a double in the draws")
     contested = contested_statuses(include_dubious)
     red_rows = np.array([i for i, s in enumerate(ds.status) if s in contested], dtype=np.intp)
     used = [
@@ -205,11 +212,11 @@ def _replications(
     ballot_c1_f, mail_total_f = columns[0][used, None], columns[1][used, None]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
     rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // max(len(ds), 1)))
-    outcomes: list[ReplicationOutcome] = []
+    t_stats, realized, n_clamped = [], [], []
     for start in range(replications.start, replications.stop, rows):
         block = range(start, min(start + rows, replications.stop))
-        counts, n_clamped = _mail_counts(columns, params, seed, block)
-        realized = [sum(row) for row in counts[:, red_rows].tolist()]
+        counts, clamps = _mail_counts(columns, params, seed, block)
+        block_realized = [sum(row) for row in counts[:, red_rows].tolist()]
         mail_c1 = counts.T[used]
         if exact_floats:  # exact product / exact total: rounded as the int quotient is
             s_xy = _fsums(mail_c1 * ballot_c1_f / mail_total_f)
@@ -219,13 +226,13 @@ def _replications(
         slope = s_xy / fit.s_xx
         residuals = mail_c1 - slope * ballot_c1_f
         wrss = _fsums(residuals * residuals / mail_total_f)
-        t_stats = []
-        for slope_r, wrss_r, realized_r in zip(slope.tolist(), wrss.tolist(), realized):
+        for slope_r, wrss_r, realized_r in zip(slope.tolist(), wrss.tolist(), block_realized):
             sigma2 = wrss_r / fit.dof
             _, pred_sd, t = _standardize(slope_r, sigma2, fit.s_xx, totals, realized_r)
             t_stats.append(t if pred_sd > 0.0 else None)
-        outcomes += map(ReplicationOutcome, t_stats, realized, n_clamped.tolist())
-    return outcomes
+        realized += block_realized
+        n_clamped += clamps.tolist()
+    return t_stats, realized, n_clamped
 
 
 def _check_seed(seed: int) -> None:
@@ -254,8 +261,8 @@ def replicate_once(
     totals = aggregate_red(red)
     fit = fit_through_origin(green)
     rows = range(replication, replication + 1)
-    (outcome,) = _replications(ds, fit, totals, params, seed, rows, include_dubious)
-    return outcome
+    columns = _replications(ds, fit, totals, params, seed, rows, include_dubious)
+    return ReplicationOutcome(*(column[0] for column in columns))
 
 
 class CalibrationReport(NamedTuple):
@@ -333,8 +340,9 @@ def calibrate(
     t distribution with the degrees of freedom of the observed accepted-side
     fit, plus probe-quantile errors.  ``params`` may also be a (k, sigma)
     pair in which None stands for that fit's slope or residual sd.  The
-    dataset must have contested districts and that fit must succeed; failed
-    fits of simulated elections are counted, not fatal.
+    dataset must have contested districts, mail totals below 2**53 (counts
+    are drawn as doubles) and a model whose draws stay finite, and that fit
+    must succeed; failed fits of simulated elections are counted, not fatal.
     """
     import numpy as np
     if replications < 100:
@@ -351,11 +359,10 @@ def calibrate(
     totals = aggregate_red(red)
     if fit is None:
         fit = fit_through_origin(green)
-    outcomes = _replications(ds, fit, totals, params, seed, range(replications), include_dubious)
-    t_stats = [o.t_stat for o in outcomes if o.t_stat is not None]
-    realized_total = 0.0
-    for o in outcomes:
-        realized_total += o.red_mail_c1
+    t_stats, realized, n_clamped = _replications(
+        ds, fit, totals, params, seed, range(replications), include_dubious
+    )
+    t_stats = [t for t in t_stats if t is not None]
     ordered = np.sort(np.array(t_stats, dtype=float))
     ks = _ks_distance(ordered, fit.dof) if len(ordered) else math.nan
     quantile_errors = {}
@@ -370,8 +377,8 @@ def calibrate(
         seed=seed,
         dof=fit.dof,
         failed_replications=replications - len(t_stats),
-        clamped_fraction=sum(o.n_clamped for o in outcomes) / (replications * len(ds)),
-        mean_red_mail_c1=realized_total / replications,
+        clamped_fraction=sum(n_clamped) / (replications * len(ds)),
+        mean_red_mail_c1=sum(realized) / replications,
         expected_red_mail_c1=params.k * totals.ballot_c1,
         model=params,
     )

@@ -47,7 +47,6 @@ class PredictionInterval(NamedTuple):
     level: float
     lower: float
     upper: float
-    point_prediction: float
 
 
 def _standardize(
@@ -117,8 +116,7 @@ def prediction_interval(report: ReversalReport, level: float) -> PredictionInter
     if report.degenerate:
         return None
     halfwidth = student_t_quantile(0.5 * (1.0 + level), report.dof) * report.pred_sd
-    prediction = report.prediction
-    return PredictionInterval(level, prediction - halfwidth, prediction + halfwidth, prediction)
+    return PredictionInterval(level, report.prediction - halfwidth, report.prediction + halfwidth)
 
 
 class AnalysisResult(NamedTuple):

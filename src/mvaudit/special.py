@@ -10,6 +10,7 @@ standard library, whose ``math.lgamma`` is the log-gamma used here.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -215,22 +216,28 @@ def student_t_quantile(p: float, nu: float) -> float:
         raise DomainError(f"student_t_quantile requires 0 < p < 1, got {p!r}")
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -_t_isf(p, nu)
-    return _t_isf(1.0 - p, nu)
+    t = _t_isf(p if p < 0.5 else 1.0 - p, nu)
+    if t == math.inf:
+        raise DomainError(f"t quantile at p={p!r}, nu={nu!r} is beyond the largest double")
+    return -t if p < 0.5 else t
 
 
 def _t_isf(alpha: float, nu: float) -> float:
-    """Solve student_t_sf(t, nu) == alpha for t >= 0 (alpha <= 0.5): double, then bisect."""
+    """Solve student_t_sf(t, nu) == alpha for t >= 0 (alpha <= 0.5): double, then bisect.
+
+    inf when the tail is still above alpha at the largest double.
+    """
     lo = 0.0
     hi = 1.0
-    while student_t_sf(hi, nu).value > alpha:  # the public sf raises once hi overflows
+    while student_t_sf(hi, nu).value > alpha:
+        if hi == sys.float_info.max:
+            return math.inf
         lo = hi
-        hi *= 2.0
+        hi = min(2.0 * hi, sys.float_info.max)
     while hi - lo > 1e-15 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halves are exact; lo + hi may overflow
         if student_t_sf(mid, nu).value > alpha:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi

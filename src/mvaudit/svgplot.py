@@ -151,7 +151,7 @@ def render_scatter(
     # legend (rect swatches so data circles stay countable)
     lx, ly = _ML + 12, _MT + 14
     entries = [(_GREEN, "accepted districts"), (_RED, "contested districts")]
-    if ds.count_status("dubious"):
+    if ds.status.count("dubious"):
         entries.append((None, "dubious (dashed outline)"))
     for i, (color, label) in enumerate(entries):
         y = ly + 18 * i

@@ -41,6 +41,15 @@ def rows_of(ds: ElectionDataset) -> list[tuple]:
     return list(zip(*(getattr(ds, column) for column in HEADER)))
 
 
+def big_mail_dataset(top: int) -> ElectionDataset:
+    """Four districts with ``top`` mail votes each; the accepted three admit a fit."""
+    d = 10**12
+    return dataset_of([("1", "A", top, top - d, top, top - 2 * d, "green"),
+                       ("2", "B", top, top - 3 * d, top, top - d, "green"),
+                       ("3", "C", top, top - 2 * d, top, top - 5 * d, "green"),
+                       ("4", "D", top, top, top, top, "red")])
+
+
 def make_random_dataset(
     rng: np.random.Generator,
     n_green: int = 12,

@@ -115,7 +115,7 @@ def calibrate(
     t_stats: list[float] = []
     total_clamped = 0
     failed = 0
-    realized_total = 0.0
+    realized_total = 0  # an exact int sum
     for r in range(replications):
         outcome = replicate_once(ds, params, seed, r, include_dubious=include_dubious)
         total_clamped += outcome.n_clamped

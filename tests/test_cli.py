@@ -9,7 +9,8 @@ import pytest
 
 from mvaudit import cli
 from mvaudit.cli import main
-from mvaudit.data import load_dataset, parse_dataset
+from mvaudit.data import load_dataset, parse_dataset, serialize_dataset
+from tests.conftest import big_mail_dataset
 
 P11 = 1.322065e-10
 P14 = 5.151422e-8
@@ -472,6 +473,27 @@ class TestCalibrate:
     def test_first_error_is_reported(self, capsys, request, csv, model, message):
         path = request.getfixturevalue(csv)
         code, out, err = run(capsys, "calibrate", path, "--reps", "100", *model, "--seed", "-1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("top", [2**62 - 1, 2**63 - 1])
+    def test_mail_total_past_double_precision_exits_one(self, capsys, tmp_path, top):
+        # drawn as doubles, 2**62 - 1 votes became 2**62 and 2**63 - 1 overflowed the cast
+        path = tmp_path / "big_mail.csv"
+        path.write_text(serialize_dataset(big_mail_dataset(top)), encoding="utf-8")
+        code, out, err = run(capsys, "calibrate", str(path), "--reps", "100", "--json")
+        assert code == 1 and err == ""
+        message = f"mail_total {top} is 2**53 or more: counts are drawn as doubles"
+        assert json.loads(out) == {"error": {"type": "data", "message": message}}
+
+    @pytest.mark.parametrize(
+        "model, shown",
+        [(("--k", "1e305", "--sigma", "1e307"), "k=1e+305, sigma=1e+307"),
+         (("--sigma", "1e308"), "k=0.1775264844272856, sigma=1e+308")],
+    )
+    def test_model_overflowing_a_double_exits_one(self, capsys, fixture_arg, model, shown):
+        # such models once exited 0 with a negative mean and a null expectation
+        code, out, err = run(capsys, "calibrate", fixture_arg, "--reps", "100", *model)
+        message = f"model {shown} overflows a double in the draws"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])

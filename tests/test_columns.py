@@ -89,7 +89,7 @@ class TestRecordEquivalence:
         assert ds.margin_official == parsed.margin_official == c2 - c1
         for status in STATUSES:
             expected = sum(1 for r in records if r[6] == status)
-            assert ds.count_status(status) == parsed.count_status(status) == expected
+            assert ds.status.count(status) == parsed.status.count(status) == expected
 
     @given(faulty_rows())
     @settings(max_examples=150)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from mvaudit.prediction import analyze_dataset, reversal_probability
 from mvaudit.special import student_t_cdf
 from mvaudit.wls import fit_through_origin
 from tests import mc_oracle
-from tests.conftest import dataset_of, make_random_dataset, rows_of
+from tests.conftest import big_mail_dataset, dataset_of, make_random_dataset, rows_of
 from tests.mc_oracle import simulate_election
 
 # slope chosen so model means sit mid-range of the mail totals
@@ -261,6 +262,38 @@ class TestCalibrate:
         for run in (lambda: calibrate(ds, PARAMS, replications=100, seed=4),
                     lambda: replicate_once(ds, PARAMS, seed=4, replication=0)):
             with pytest.raises(ValidationError, match="^dataset has no contested districts$"):
+                run()
+
+    @pytest.mark.parametrize("top", [2**53, 2**62 - 1, 2**63 - 1])
+    def test_mail_totals_past_double_precision_rejected(self, top):
+        # counts are drawn as doubles: float(2**62 - 1) is 2**62, one vote more
+        # than the district has, and float(2**63 - 1) overflows the cast to int
+        ds = big_mail_dataset(top)
+        message = f"mail_total {top} is 2**53 or more: counts are drawn as doubles"
+        for run in (lambda: calibrate(ds, (None, None), replications=100, seed=4),
+                    lambda: replicate_once(ds, PARAMS, seed=4, replication=0)):
+            with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
+                run()
+
+    def test_largest_exact_mail_total_is_simulated(self):
+        # 2**53 - 1 and every count below it are doubles; the scalar oracle
+        # checks each simulated election as a dataset, so its counts stay in
+        # [0, mail_total], and the kernel matches it, realized sums included
+        ds = big_mail_dataset(2**53 - 1)
+        params = ModelParameters(k=1.0, sigma=1e5)
+        report = calibrate(ds, params, replications=100, seed=4)
+        oracle = mc_oracle.calibrate(ds, params, 100, 4)
+        assert report.clamped_fraction > 0
+        assert [t.hex() for t in report.t_stats] == [t.hex() for t in oracle.t_stats]
+        assert report.mean_red_mail_c1 == oracle.mean_red_mail_c1
+
+    @pytest.mark.parametrize("params", [ModelParameters(1e305, 1e307), ModelParameters(0.3, 1e308)])
+    def test_model_overflowing_a_double_rejected(self, params):
+        # 8.6 sigma sqrt(max mail_total) bounds the noise, as no |z| reaches 8.58
+        message = f"model k={params.k!r}, sigma={params.sigma!r} overflows a double in the draws"
+        for run in (lambda: calibrate(small_template(), params, replications=100, seed=4),
+                    lambda: replicate_once(small_template(), params, seed=4, replication=0)):
+            with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
                 run()
 
     @pytest.mark.parametrize(

@@ -138,7 +138,7 @@ class TestPredictionInterval:
         pred_var = sigma2 * (Fraction(120**2) / s_xx + 80)
         halfwidth = math.sqrt(2.0 / 3.0) * math.sqrt(float(pred_var))
         interval = prediction_interval(small_report, 0.5)
-        assert interval.point_prediction == pytest.approx(float(prediction), rel=1e-14)
+        assert small_report.prediction == pytest.approx(float(prediction), rel=1e-14)
         assert interval.lower == pytest.approx(float(prediction) - halfwidth, rel=1e-10)
         assert interval.upper == pytest.approx(float(prediction) + halfwidth, rel=1e-10)
 
@@ -153,10 +153,10 @@ class TestPredictionInterval:
 
     def test_symmetric_about_prediction(self, small_report):
         interval = prediction_interval(small_report, 0.9)
-        assert interval.upper - interval.point_prediction == pytest.approx(
-            interval.point_prediction - interval.lower, rel=1e-12
+        assert interval.upper - small_report.prediction == pytest.approx(
+            small_report.prediction - interval.lower, rel=1e-12
         )
-        assert interval.lower <= interval.point_prediction <= interval.upper
+        assert interval.lower <= small_report.prediction <= interval.upper
 
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.99])
     def test_interval_tail_duality(self, dataset, level):

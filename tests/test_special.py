@@ -1,6 +1,8 @@
 """Special-function accuracy against closed forms and the quadrature oracle."""
 
 import math
+import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -142,7 +144,7 @@ class TestStudentTSf:
         # SF(t, 1) = atan(1/t)/pi for t > 0: exercises extreme arguments
         for t in (3.0, 50.0, 1e5, 1e150):
             expected = math.atan(1.0 / t) / math.pi
-            assert student_t_sf(t, 1).value == pytest.approx(expected, rel=1e-12)
+            assert math.isclose(student_t_sf(t, 1).value, expected, rel_tol=1e-12)
 
     def test_cauchy_where_t_squared_overflows(self):
         # past t = sqrt(DBL_MAX) ~ 1.34e154 the tail is taken from log(nu / t^2),
@@ -275,6 +277,19 @@ class TestStudentTQuantile:
     def test_domain(self, p):
         with pytest.raises(DomainError):
             student_t_quantile(p, 105)
+
+    def test_quantile_past_two_to_the_1023(self):
+        # the doubling bracket stops at the largest double instead of at inf
+        q = student_t_quantile(4.14e-112, 0.3599)
+        assert 2.0**1023 < -q < sys.float_info.max
+        assert math.isclose(student_t_sf(-q, 0.3599).value, 4.14e-112, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("p, nu", [(1e-300, 0.5), (1e-16, 0.01), (1 - 1e-16, 0.01)])
+    def test_quantile_beyond_the_largest_double(self, p, nu):
+        # even t = 1.8e308 leaves a tail above min(p, 1 - p)
+        message = f"t quantile at p={p!r}, nu={nu!r} is beyond the largest double"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            student_t_quantile(p, nu)
 
 
 class TestTailProbability:
