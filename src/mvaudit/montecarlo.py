@@ -286,10 +286,12 @@ class CalibrationReport(NamedTuple):
 
 
 # How far below the largest distance found a block's bounds must lie before its
-# samples go unevaluated.  student_t_cdf is monotone only up to its own error:
-# near |t| = 3**0.5, where its continued fraction changes branch, it falls by
-# 4.6e-12 at nu = 1e5, 5.1e-9 at nu = 1e8 and 5.1e-7 at nu = 1e10.
-_KS_SLACK = 1e-6
+# samples go unevaluated.  student_t_cdf is monotone only up to its own error.
+# Below nu = 30, near |t| = 3**0.5, where its continued fraction changes
+# branch, it falls by up to 2.9e-15 between adjacent doubles (nu = 28; 3e-16
+# to 1e-15 for nu <= 12).  From nu = 30 on nothing changes branch there, and
+# scans find falls of an ulp at most.  The slack is 350 times the largest fall.
+_KS_SLACK = 1e-12
 
 
 def _ks_distance(sorted_values: np.ndarray, dof: int) -> float:
@@ -324,6 +326,21 @@ def _ks_distance(sorted_values: np.ndarray, dof: int) -> float:
         best = max(best, distance(middle))
         blocks += [(j, middle), (middle, k)]
     return best
+
+
+def _linear_quantile(ordered: list[float], p: float) -> float:
+    """``np.quantile(ordered, p)`` of a sorted list, bit for bit but for the sign of a zero.
+
+    numpy's default (linear) interpolation in plain Python: np.quantile
+    imports numpy.ma on its first call, which a cold calibrate would pay for.
+    (np.quantile partitions its input again, which can swap -0.0 and 0.0.)
+    """
+    h = (len(ordered) - 1) * p
+    i = math.floor(h)
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    g = h - i
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
 def calibrate(
@@ -365,9 +382,10 @@ def calibrate(
     t_stats = [t for t in t_stats if t is not None]
     ordered = np.sort(np.array(t_stats, dtype=float))
     ks = _ks_distance(ordered, fit.dof) if len(ordered) else math.nan
+    values = ordered.tolist()
     quantile_errors = {}
     for p in PROBE_QUANTILES:
-        empirical = float(np.quantile(ordered, p)) if len(ordered) else math.nan
+        empirical = _linear_quantile(values, p) if values else math.nan
         quantile_errors[p] = abs(empirical - student_t_quantile(p, fit.dof))
     return CalibrationReport(
         replications=replications,

@@ -2,9 +2,19 @@
 
 The headline quantities of this package are upper-tail probabilities around
 1e-10 and below, so every routine here evaluates the small tail directly
-(log-gamma -> regularized incomplete beta -> t survival function) instead of
-taking complements of CDF values near 1.  The only dependency is the Python
-standard library, whose ``math.lgamma`` is the log-gamma used here.
+instead of taking complements of CDF values near 1.  P[T > t] is
+I_x(nu/2, 1/2) / 2 with x = nu/(nu + t^2), and ln x = -log1p(t^2/nu) is
+exact to rounding however close x is to 1.  One of three routes takes it:
+
+- t^2/nu > 20: the continued fraction of I_x, x being at most 1/21;
+- otherwise, nu >= 30: the large-a expansion BGRAT with b = 1/2 (DiDonato &
+  Morris, ACM TOMS 18(3), 1992, Algorithm 708), on Q(1/2, z) = erfc(sqrt(z));
+- otherwise, nu < 30: the continued fraction on the smaller of I_x and its
+  complement.
+
+Quantiles are Newton steps on the log tail from Hill's start (CACM 13(10),
+1970, Algorithm 396).  The only dependency is the Python standard library,
+whose ``math.lgamma`` is the log-gamma used here.
 """
 
 from __future__ import annotations
@@ -36,6 +46,15 @@ class ConvergenceError(ArithmeticError):
 _LN_HALF = math.log(0.5)
 _LN10 = math.log(10.0)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
+_T_MAX = sys.float_info.max
+
+# a = nu/2 from which ln B(a, 1/2) is taken from its large-a series, whose
+# truncation error is 7e-18 at a = 15, and the t tail from BGRAT
+_LARGE_A = 15.0
+# t^2/nu above which the continued fraction takes the tail over from BGRAT:
+# each BGRAT term is about (log1p(t^2/nu) / 2 pi)^2 times the last, so the
+# expansion needs 27 terms at this cut and does not converge past t^2/nu = 534
+_FAR_TAIL = 20.0
 
 
 class TailProbability(NamedTuple("TailProbability", [("value", float), ("log_value", float)])):
@@ -65,14 +84,21 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _half_series(a: float) -> float:
+    """ln B(a, 1/2) - ln sqrt(pi) + ln(a)/2 for a >= _LARGE_A, by its large-a series.
+
+    ln Gamma(a) - ln Gamma(a + 1/2) cancels; this series does not (DiDonato &
+    Morris, ACM TOMS 18(3), 1992, Algorithm 708).
+    """
+    r = 1.0 / a
+    r2 = r * r
+    return r * (1 / 8 - r2 * (1 / 192 - r2 * (1 / 640 - r2 * (
+        17 / 14336 - r2 * (31 / 18432 - r2 * 691 / 180224)))))
+
+
 def _log_beta(a: float, b: float) -> float:
-    if b == 0.5 and a >= 16.0:
-        # ln Gamma(a) - ln Gamma(a + 1/2) cancels; its large-a series does not
-        # (DiDonato & Morris, ACM TOMS 18(3), 1992, Algorithm 708)
-        r = 1.0 / a
-        r2 = r * r
-        series = 1 / 8 - r2 * (1 / 192 - r2 * (1 / 640 - r2 * (17 / 14336 - r2 * 31 / 18432)))
-        return _LN_SQRT_PI - 0.5 * math.log(a) + r * series
+    if b == 0.5 and a >= _LARGE_A:
+        return _LN_SQRT_PI - 0.5 * math.log(a) + _half_series(a)
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
@@ -86,7 +112,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     Valid (fast-converging) for x < (a + 1)/(a + b + 2); the caller is
     responsible for routing the complementary case through (b, a, 1 - x).
     Step m applies its two partial numerators in turn and stops once the
-    second leaves the value unchanged: its factor is then exactly 1.0.
+    second's factor is within an ulp of 1.0.  (Where a is large and x is
+    fixed the numerators hardly shrink, and that factor can stay an ulp
+    away from 1.0 at every step.)
     """
     qab = a + b
     qap = a + 1.0
@@ -103,7 +131,6 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             m * (b - m) * x / ((qam + m2) * (a + m2)),
             -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
         ):
-            last = h
             d = 1.0 + aa * d
             if abs(d) < _CF_FPMIN:
                 d = _CF_FPMIN
@@ -112,7 +139,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
                 c = _CF_FPMIN
             d = 1.0 / d
             h *= d * c
-        if h == last:
+        if abs(d * c - 1.0) <= 2.0**-52:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
@@ -152,28 +179,96 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return _inc_beta(a, b, x, 1.0 - x)[0]
 
 
+# d_1 .. d_32 of BGRAT for b = 1/2, which depend on nothing else, each rounded
+# once from c_k = 1/(2k + 1)! and d_k = (b - 1) c_k + sum over i < k of
+# (i b - k) c_i d_(k-i) / k.  The slowest case, a = 15 at t^2/nu = 20, needs 27.
+_BGRAT_D = (
+    -0.08333333333333333, 0.00625, -0.0005042989417989418, 4.343722442680776e-05,
+    -3.896385732323232e-06, 3.5833354634507906e-07, -3.349747072060578e-08,
+    3.1675854343161146e-09, -3.0210368517370963e-10, 2.900415787669253e-11,
+    -2.799396748375269e-12, 2.713639320017204e-13, -2.6400478921841528e-14,
+    2.576345276111418e-15, -2.5208132554200558e-16, 2.472127507451747e-17,
+    -2.4292486395023516e-18, 2.3913480187649295e-19, -2.3577559464117404e-20,
+    2.3279246157682317e-21, -2.3014011079062038e-22, 2.2778073573447367e-23,
+    -2.2568250552677534e-24, 2.2381841130778133e-25, -2.221653734513267e-26,
+    2.2070354267468694e-27, -2.1941574717669087e-28, 2.1828705107634888e-29,
+    -2.1730439861920983e-30, 2.1645632514720973e-31, -2.157327205261502e-32,
+    2.1512463414855992e-33,
+)
+
+
+def _bgrat_tail(a: float, ln1p_r: float) -> tuple[float, float]:
+    """(value, log value) of I_x(a, 1/2) / 2 for a >= _LARGE_A and -ln x = ln1p_r <= ln(21).
+
+    BGRAT with b = 1/2: I_x = G Q(1/2, z) (1 + sum of d_n J_n / J_0) with
+    z = -(a - 1/4) ln x, G = Gamma(a + 1/2) / (Gamma(a) sqrt(a - 1/4)) and
+    J_n from J_(n-1) by DiDonato & Morris's recurrence.  G comes from
+    _half_series and Q(1/2, z) from erfc(sqrt(z)) while that is a normal
+    double; past it, from the asymptotic series of the scaled erfc, so the
+    log stays finite where the value underflows.
+    """
+    nu = a - 0.25
+    z = nu * ln1p_r
+    ln_g = -0.5 * math.log1p(-0.25 / a) - _half_series(a)
+    if z < 700.0:
+        q = math.erfc(math.sqrt(z))
+        inv_j0 = math.exp(-z) * math.sqrt(z / math.pi) / q
+    else:  # sqrt(pi z) e^z erfc(sqrt(z)) = sum of (-1)^k (2k - 1)!! / (2z)^k: 8 terms at z = 700
+        s = term = 1.0
+        k = 1
+        while abs(term) > 1e-17:
+            term *= (0.5 - k) / z
+            s += term
+            k += 1
+        inv_j0 = z / s
+        ln_q = math.log(s / math.sqrt(math.pi * z)) - z
+    v = 0.25 / (nu * nu)
+    h = 0.25 * ln1p_r * ln1p_r
+    # j is J_n / J_0, and w = h^n v / J_0 the other factor of its recurrence
+    w = inv_j0 * v
+    j = total = 1.0
+    for n, d in enumerate(_BGRAT_D):
+        b2n = 2 * n + 0.5
+        j = b2n * (b2n + 1.0) * v * j + (z + b2n + 1.0) * w
+        w *= h
+        last = total
+        total += d * j
+        if total == last:
+            break
+    if z < 700.0:
+        value = 0.5 * math.exp(ln_g) * q * total
+        return value, math.log(value)
+    log_value = _LN_HALF + ln_g + ln_q + math.log(total)
+    return math.exp(log_value), log_value
+
+
+def _log1p_t2_nu(t: float, nu: float) -> tuple[float, float]:
+    """(r, log1p(r)) for r = t^2/nu; r is inf only where it is past the largest double."""
+    r = t * (t / nu)
+    if r == math.inf:
+        return r, 2.0 * math.log(t) - math.log(nu)
+    return r, math.log1p(r)
+
+
 def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
     """(value, log value) of P[T > t] for t >= 0 under nu degrees of freedom.
 
-    Works from x = nu/(nu + t^2) and its complement computed independently,
-    so no accuracy is lost to 1 - x cancellation on either branch.
+    Takes ln x = -log1p(t^2/nu) and, below nu = 30, x and its complement each
+    from their own quotient, so no accuracy is lost to 1 - x cancellation.
     """
     a = 0.5 * nu
-    b = 0.5
+    r, ln1p_r = _log1p_t2_nu(t, nu)
+    if r == 0.0:
+        return 0.5, _LN_HALF
+    if r > _FAR_TAIL:  # ln(1 - x) = -log1p(1/r)
+        log_value = (_LN_HALF - a * ln1p_r - 0.5 * math.log1p(1.0 / r) - _log_beta(a, 0.5)
+                     + math.log(_beta_cf(a, 0.5, math.exp(-ln1p_r))) - math.log(a))
+        return math.exp(log_value), log_value
+    if a >= _LARGE_A:
+        return _bgrat_tail(a, ln1p_r)
     t2 = t * t
     denom = nu + t2
-    if denom == math.inf:
-        # t^2 is beyond double range, so x = nu / t^2 is taken in log space
-        ln_x = math.log(nu) - 2.0 * math.log(t)
-        log_value = _LN_HALF + a * ln_x - _log_beta(a, b) - math.log(a)
-        return math.exp(log_value), log_value
-    x = nu / denom
-    xc = t2 / denom
-    if xc == 0.0:
-        return 0.5, _LN_HALF
-    value, log_value = _inc_beta(a, b, x, xc)
-    if log_value == -math.inf:  # the complement left no tail: nu is too large for the fraction
-        raise DomainError(f"t tail at t={t!r}, nu={nu!r} is beyond the continued fraction's reach")
+    value, log_value = _inc_beta(a, 0.5, nu / denom, t2 / denom)
     return 0.5 * value, _LN_HALF + log_value
 
 
@@ -205,8 +300,8 @@ def student_t_cdf(t: float, nu: float) -> float:
 def student_t_quantile(p: float, nu: float) -> float:
     """Inverse CDF of the Student t distribution.
 
-    Bisection on the directly-evaluated tail; accurate to well below 1e-10
-    in probability space and monotone in p.
+    Newton steps on the directly-evaluated log tail from Hill's start;
+    accurate to well below 1e-10 in probability space.
     """
     p = float(p)
     nu = float(nu)
@@ -222,22 +317,86 @@ def student_t_quantile(p: float, nu: float) -> float:
     return -t if p < 0.5 else t
 
 
-def _t_isf(alpha: float, nu: float) -> float:
-    """Solve student_t_sf(t, nu) == alpha for t >= 0 (alpha <= 0.5): double, then bisect.
+def _normal_isf(alpha: float) -> float:
+    """z with P[Z > z] ~= alpha for 0 < alpha <= 1/2, within 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
+    s = math.sqrt(-2.0 * math.log(alpha))
+    return s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
 
-    inf when the tail is still above alpha at the largest double.
+
+def _hill(alpha: float, nu: float) -> float:
+    """Hill's approximation to the t with P[T > t] = alpha (CACM 13(10), 1970, Algorithm 396).
+
+    Below nu = 1, where its constants do not exist, the tail's power law
+    P[T > t] ~= nu^(nu/2 - 1) t^-nu / B(nu/2, 1/2) instead.  Capped at the
+    largest double.
     """
-    lo = 0.0
-    hi = 1.0
-    while student_t_sf(hi, nu).value > alpha:
-        if hi == sys.float_info.max:
-            return math.inf
-        lo = hi
-        hi = min(2.0 * hi, sys.float_info.max)
-    while hi - lo > 1e-15 * max(1.0, lo):
-        mid = 0.5 * lo + 0.5 * hi  # halves are exact; lo + hi may overflow
-        if student_t_sf(mid, nu).value > alpha:
-            lo = mid
+    if nu < 1.0:
+        ln_t = 0.5 * math.log(nu) - (math.log(nu) + _log_beta(0.5 * nu, 0.5) + math.log(alpha)) / nu
+        return math.exp(min(ln_t, math.log(_T_MAX)))
+    a = 1.0 / (nu - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * nu
+    ln_y = 2.0 * (math.log(2.0 * d) + math.log(alpha)) / nu
+    if ln_y > math.log(0.05 + a):  # about the normal
+        x = -_normal_isf(alpha)
+        if nu < 5.0:
+            c += 0.3 * (nu - 4.5) * (x + 0.6)
+        c += (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b
+        y = x * x
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        return math.sqrt(nu * math.expm1(a * y * y))
+    if ln_y < -36.0:  # y below 2^-52: t = sqrt(nu / y), as far as a double resolves
+        return math.exp(min(0.5 * (math.log(nu) - ln_y), math.log(_T_MAX)))
+    y = math.exp(ln_y)
+    y = ((1.0 / (((nu + 6.0) / (nu * y) - 0.089 * d - 0.822) * (nu + 2.0) * 3.0)
+          + 0.5 / (nu + 4.0)) * y - 1.0) * (nu + 1.0) / (nu + 2.0) + 1.0 / y
+    return math.sqrt(nu * y)
+
+
+_ISF_MAX_STEPS = 100
+
+
+def _t_isf(alpha: float, nu: float) -> float:
+    """Solve P[T > t] = alpha for t > 0 (alpha < 1/2) by Newton steps on ln sf.
+
+    The step is (ln sf - ln alpha) sf / pdf, from the log pdf
+    ln pdf(0) - (nu + 1)/2 log1p(t^2/nu).  In the body (t^2 <= nu), where
+    ln sf is nearly linear in t, it is added to t; on the flanks, where ln sf
+    is nearly linear in ln t, step / t is added to ln t.  The points
+    evaluated bracket the root, and a step that leaves the bracket halves it
+    instead (or, with no point above the root yet, tries the largest double).
+    Convergence is quadratic, so a step below 1e-9 t leaves an error far
+    below rounding and is the last; so is a step from a tail within 2^-50 of
+    alpha, which near t = 0 rounding noise would otherwise keep moving.  inf
+    when the tail is still above alpha at the largest double.
+    """
+    ln_alpha = math.log(alpha)
+    a = 0.5 * nu
+    ln_pdf0 = -_log_beta(a, 0.5) - 0.5 * math.log(nu)
+    lo, hi = 0.0, math.inf
+    t = _hill(alpha, nu)
+    for _ in range(_ISF_MAX_STEPS):
+        _, log_sf = _t_upper_tail(t, nu)
+        excess = log_sf - ln_alpha
+        if excess > 0.0:
+            if t == _T_MAX:
+                return math.inf
+            lo = t
         else:
-            hi = mid
-    return 0.5 * lo + 0.5 * hi
+            hi = t
+        ln_pdf = ln_pdf0 - (a + 0.5) * _log1p_t2_nu(t, nu)[1]
+        # sf / pdf is about t / nu far out: capped where nu is below ~1e-300
+        step = excess * math.exp(min(log_sf - ln_pdf, 709.0))
+        if abs(step) < 1e-9 * t or abs(excess) < 2.0**-50:
+            return t + step
+        if t * t <= nu:
+            new = t + step
+        else:
+            new = t * math.exp(step / t) if step < 700.0 * t else math.inf
+        if lo < new < hi:
+            t = new
+        else:
+            t = _T_MAX if hi == math.inf else 0.5 * lo + 0.5 * hi
+    raise ConvergenceError(f"t quantile did not converge for alpha={alpha!r}, nu={nu!r}")

@@ -395,9 +395,9 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "variant, digest",
         [
-            ((), "96daa2cf19aa3ba6f0486dd8b4f2653b12d8bdb367b8277df22b905354a16eaa"),
+            ((), "49f9b3fac452995acf5dec915a638eedd7c9d081d8b55451f417d579a213c57a"),
             (("--include-dubious",),
-             "0372bf126ebd64b03e2a0abe1cb0064e952654e4f688210849bc9585a08c5eb1"),
+             "9ac744c3cd02b8cabed79d4a00b4283fc9c2ab48028001ff49a0aa674e4e4f9a"),
         ],
         ids=["M11", "M14"],
     )

@@ -30,7 +30,7 @@ HEAVY = ("numpy", "urllib.request", "http.client", "ssl", "dataclasses", "inspec
 STARTUP_PROBE = """
 import json, sys
 import mvaudit, mvaudit.cli
-watched = json.loads(sys.argv[1]) + ["mvaudit.montecarlo"]
+watched = json.loads(sys.argv[1]) + ["mvaudit.montecarlo", "numpy.ma"]
 fixture, out = sys.argv[2], sys.argv[3]
 loaded = lambda: [m for m in watched if m in sys.modules]
 steps = {"import": loaded()}
@@ -138,8 +138,10 @@ def test_startup_loads_no_numpy_or_network_stack(fixture_csv_path, tmp_path):
     )
     # montecarlo itself stays loaded: mvbench/replay.py looks it up after importing the CLI
     assert steps["import"] == steps["commands"] == ["mvaudit.montecarlo"]
-    # only calibrate loads numpy, which imports inspect itself
+    # only calibrate loads numpy, which imports inspect itself; np.quantile
+    # would also import numpy.ma (~13 ms), which its probe quantiles do without
     assert "numpy" in steps["calibrate"]
+    assert "numpy.ma" not in steps["calibrate"]
 
 
 def test_cli_starts_openblas_with_one_thread(fixture_csv_path):

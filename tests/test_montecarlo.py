@@ -20,6 +20,7 @@ from mvaudit.montecarlo import (
     _float_columns,
     _fsums,
     _ks_distance,
+    _linear_quantile,
     _mail_counts,
     _standard_normals,
     calibrate,
@@ -527,21 +528,47 @@ class TestFsums:
         assert outcome(lambda t: _fsums(t).tolist(), terms) == expected
 
 
+class TestLinearQuantile:
+    @given(
+        st.lists(st.floats(allow_nan=False, min_value=-1e300, max_value=1e300)
+                 | st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300]),
+                 min_size=1, max_size=60),
+        st.floats(0.0, 1.0) | st.sampled_from(montecarlo.PROBE_QUANTILES),
+    )
+    @example([-math.inf, math.inf], 0.5)
+    @example([1.0, math.inf], 0.95)
+    @example([-math.inf, -math.inf, 2.0], 0.25)
+    @example([1e-300, 1e300], 0.05)
+    @example([0.1 * i for i in range(2000)], 0.95)
+    @settings(max_examples=300)
+    def test_equals_np_quantile(self, values, p):
+        # calibrate's probe quantiles, and mvbench's check of them, stay
+        # np.quantile's bits, nan from inf - inf included; np.quantile may
+        # swap -0.0 and 0.0 as it partitions, so a zero's sign is not compared
+        ordered = np.sort(np.array(values))
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = float(np.quantile(ordered, p))
+        got = _linear_quantile(ordered.tolist(), p)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
 @functools.cache
 def branch_switch(nu):
-    """(before, after): nearby samples close to |t| = 3**0.5, where the t cdf
-    at ``nu`` falls most as its continued fraction changes branch."""
+    """(before, after): adjacent doubles close to |t| = 3**0.5 across which
+    the t cdf at ``nu`` < 30 falls most, as its continued fraction changes
+    branch there (from nu = 30 on, BGRAT has no branch to change)."""
     t = -math.sqrt(nu * ((0.5 * nu + 2.5) / (0.5 * nu + 1.0) - 1.0))
-    before, after = t - 1e-6, t + 1e-6
-    for _ in range(2):  # a coarse scan, then a fine one across its steepest fall
-        ts = np.linspace(before, after, 2001).tolist()
-        cdf = [student_t_cdf(x, nu) for x in ts]
-        i = min(range(len(ts) - 1), key=lambda i: cdf[i + 1] - cdf[i])
-        before, after = ts[i], ts[i + 1]
-    return before, after
+    below, above = [t], [t]
+    for _ in range(1000):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    ts = below[:0:-1] + above
+    cdf = [student_t_cdf(x, nu) for x in ts]
+    i = min(range(len(ts) - 1), key=lambda i: cdf[i + 1] - cdf[i])
+    return ts[i], ts[i + 1]
 
 
-def straddled_maximum(nu=1e8, n=33):
+def straddled_maximum(nu=28, n=33):
     """n sorted samples whose largest distance is at the sample before the
     last, inside a block whose bounds miss it by the cdf's fall at the branch
     switch unless the slack covers that fall.
@@ -577,7 +604,7 @@ def ks_samples(draw):
 
 class TestKsDistance:
     @given(sorted_values=ks_samples(), dof=st.sampled_from(KS_DOFS))
-    @example(sorted_values=straddled_maximum(), dof=1e8)
+    @example(sorted_values=straddled_maximum(), dof=28)
     @example(sorted_values=np.sort(np.random.default_rng(1).standard_t(4.0, 3000)), dof=105)
     @example(sorted_values=np.round(np.sort(np.random.default_rng(2).standard_normal(3000)), 1),
              dof=1e5)
@@ -591,11 +618,11 @@ class TestKsDistance:
         ts=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=200),
         dof=st.sampled_from(KS_DOFS),
     )
-    @example(ts=list(branch_switch(1e8)), dof=1e8)
-    @example(ts=list(branch_switch(1e5)), dof=1e5)
+    @example(ts=list(branch_switch(28)), dof=28)
+    @example(ts=list(branch_switch(2.5)), dof=2.5)
     def test_cdf_rises_over_sorted_inputs(self, ts, dof):
         # the bracketing rests on this: where the cdf falls, as at its branch
-        # switch, the fall must stay far inside _KS_SLACK
+        # switch below nu = 30, the fall must stay far inside _KS_SLACK
         cdf = [student_t_cdf(t, dof) for t in sorted(ts)]
         assert min(b - a for a, b in zip(cdf, cdf[1:])) > -_KS_SLACK / 100
 

@@ -6,13 +6,19 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mvaudit import special
 from mvaudit.special import (
+    _BGRAT_D,
+    _FAR_TAIL,
+    _LARGE_A,
     DomainError,
     TailProbability,
+    _bgrat_tail,
     _log_beta,
     log_gamma,
     reg_inc_beta,
@@ -20,6 +26,29 @@ from mvaudit.special import (
     student_t_quantile,
     student_t_sf,
 )
+
+
+def reference_log_sf(t, nu):
+    """ln P[T > t] at 40 digits, from mpmath's regularized incomplete beta.
+
+    That cannot resolve a tail below about 1e-1000 (it raises after seconds),
+    so a tail whose density is below e^-1000 comes from a quadrature of the
+    density relative to its value at |t|, over breakpoints spaced by the
+    density's decay length there.
+    """
+    with mp.workdps(40):
+        u, nu = abs(mp.mpf(t)), mp.mpf(nu)
+        w = nu + u * u
+        log_density = -(nu + 1) / 2 * mp.log1p(u * u / nu)
+        if log_density > -1000:
+            log_tail = mp.log(mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / w, regularized=True) / 2)
+        else:
+            h = w / ((nu + 1) * u)
+            relative = mp.quad(lambda s: mp.exp(-(nu + 1) / 2 * mp.log1p((2 * u + s) * s / w)),
+                               [0] + [h * 2**k for k in range(0, 64, 4)] + [mp.inf])
+            log_tail = (mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2) - mp.log(nu * mp.pi) / 2
+                        + log_density + mp.log(relative))
+        return log_tail if t >= 0 else mp.log1p(-mp.exp(log_tail))
 
 
 class TestLogGamma:
@@ -67,12 +96,12 @@ class TestLogBeta:
     )
     @settings(max_examples=200)
     def test_log_gamma_branch_is_the_formula(self, a, b):
-        # the log-gamma branch: every (a, b) but b = 1/2 with a >= 16
-        assume(b != 0.5 or a < 16.0)
+        # the log-gamma branch: every (a, b) but b = 1/2 with a >= _LARGE_A
+        assume(b != 0.5 or a < _LARGE_A)
         expected = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
         assert _log_beta(a, b).hex() == expected.hex()
 
-    @pytest.mark.parametrize("n", [16, 17, 52, 53, 100, 1000, 5000, 20000])
+    @pytest.mark.parametrize("n", [15, 16, 17, 52, 53, 100, 1000, 5000, 20000])
     def test_half_series_against_exact_beta(self, n):
         # B(n, 1/2) = 4^n n! (n-1)! / (2n)!, rounded once to a double and logged
         exact = math.log(float(Fraction(4**n * math.factorial(n) * math.factorial(n - 1),
@@ -134,11 +163,88 @@ class TestStudentTSf:
     def test_closed_forms(self, t, nu, expected):
         assert student_t_sf(t, nu).value == pytest.approx(expected, rel=1e-14)
 
-    def test_nu_beyond_the_continued_fraction(self):
-        # the complement branch leaves 1 - I <= 0: a typed error naming t and nu
-        with pytest.raises(DomainError, match=r"t=1\.0, nu=1e\+16"):
-            student_t_sf(1.0, 1e16)
-        assert 0.0 < student_t_sf(1.1287823048921275, 218627611809579.62).value < 0.5
+    def test_large_nu_takes_the_normal_tail(self):
+        # x = nu/(nu + t^2) is within 1e-14 of 1 here, where 1 - I_x(b, a)
+        # leaves nothing; BGRAT takes I_x itself, the normal tail to within 1/nu
+        for t, nu in ((1.0, 1e16), (1.1287823048921275, 218627611809579.62)):
+            assert math.isclose(student_t_sf(t, nu).value, 0.5 * math.erfc(t / math.sqrt(2.0)),
+                                rel_tol=1e-14)
+
+    def test_deep_tail_at_nu_1e18(self):
+        # a ln x is 5e17 times -4e-16 here: ln x must come from log1p(t^2/nu)
+        exact = 2.7536241186063443900902840863e-89
+        assert math.isclose(student_t_sf(20.0, 1e18).value, exact, rel_tol=1e-14)
+
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.integers(1, 300) | st.integers(1, 10**18)
+        | st.integers(0, 180).map(lambda e: round(10 ** (e / 10))),
+    )
+    @example(20.0, 10**18)
+    @example(1.1287823048921275, 218627611809579.62)
+    @example(2.0, 10**14)
+    @example(6.3, 10**10)
+    @settings(max_examples=300)
+    def test_within_the_bound_or_a_domain_error(self, t, nu):
+        # every t statistic at every integer dof (and the found non-integer
+        # one) is within 1e-12 of mpmath's incomplete beta, or a typed error;
+        # where the value underflows, its log is within 1e-12
+        try:
+            sf = student_t_sf(t, nu)
+        except DomainError:
+            return
+        log_exact = reference_log_sf(t, nu)
+        if log_exact >= math.log(1e-300):
+            exact = mp.exp(log_exact)
+            assert abs(sf.value - exact) <= 1e-12 * exact
+        else:
+            assert abs(sf.log_value - log_exact) <= 1e-12 * abs(log_exact)
+
+    @pytest.mark.parametrize("nu", [30, 31, 105, 1e3, 1e5, 1e8])
+    def test_no_fall_at_the_far_tail_cut(self, nu):
+        # the continued fraction takes over from BGRAT at t^2/nu = 20: the
+        # tail, or its log where it underflows, keeps falling across the cut
+        cut = math.sqrt(_FAR_TAIL * nu)
+        logs = [student_t_sf(cut * (1.0 + 1e-9 * i), nu).log_value for i in range(-200, 201)]
+        assert all(u > v for u, v in zip(logs, logs[1:]))
+
+    @pytest.mark.parametrize("nu", [1e5, 1e8, 1e10])
+    def test_cdf_does_not_fall_around_root_three(self, nu):
+        # near |t| = sqrt(3) the continued fraction would change branch; BGRAT
+        # has no branch there, so the cdf rises at every step of 1e-10
+        for centre in (-math.sqrt(3.0), math.sqrt(3.0)):
+            cdf = [student_t_cdf(centre + 1e-10 * i, nu) for i in range(-20000, 20001)]
+            assert all(u <= v for u, v in zip(cdf, cdf[1:]))
+
+    def test_bgrat_coefficients_are_their_recurrence(self):
+        # d_k = (b - 1) c_k + sum over i < k of (i b - k) c_i d_(k-i) / k, with
+        # b = 1/2 and c_k = 1/(2k + 1)!, in exact rationals, rounded once
+        d = []
+        for k in range(1, len(_BGRAT_D) + 1):
+            c = [Fraction(1, math.factorial(2 * i + 1)) for i in range(1, k + 1)]
+            s = sum(((Fraction(i, 2) - k) * c[i - 1] * d[k - i - 1] for i in range(1, k)),
+                    Fraction(0))
+            d.append(-c[-1] / 2 + s / k)
+        assert [float(x) for x in d] == list(_BGRAT_D)
+
+    def test_bgrat_converges_before_its_coefficients_run_out(self, monkeypatch):
+        # a = 15 at t^2/nu = 20 is the slowest case, and its sum stops
+        # changing after 27 terms: the last coefficients add nothing
+        ln1p_r = math.log1p(_FAR_TAIL)
+        full = _bgrat_tail(_LARGE_A, ln1p_r)
+        monkeypatch.setattr(special, "_BGRAT_D", _BGRAT_D[:27])
+        assert _bgrat_tail(_LARGE_A, ln1p_r) == full
+        monkeypatch.setattr(special, "_BGRAT_D", _BGRAT_D[:26])
+        assert _bgrat_tail(_LARGE_A, ln1p_r) != full
+
+    def test_underflowed_tail_keeps_its_log(self):
+        # past z = -(nu/2 - 1/4) ln x = 700, erfc(sqrt(z)) is no normal
+        # double: Q comes from its asymptotic series, and log_value from its log
+        for t, nu in ((80.0, 1e3), (1e3, 1e9), (100.0, 1e18)):
+            sf = student_t_sf(t, nu)
+            log_exact = reference_log_sf(t, nu)
+            assert sf.value < 1e-300 and math.isfinite(sf.log_value)
+            assert abs(sf.log_value - log_exact) <= 1e-14 * abs(log_exact)
 
     def test_cauchy_closed_form_deep(self):
         # SF(t, 1) = atan(1/t)/pi for t > 0: exercises extreme arguments
@@ -268,6 +374,23 @@ class TestStudentTQuantile:
         for p in grid:
             q = student_t_quantile(p, nu)
             assert abs(student_t_cdf(q, nu) - p) <= 1e-9, (p, nu)
+
+    @pytest.mark.parametrize("p, nu", [(0.995, 99799), (0.95, 102), (0.05, 105), (1e-300, 1e18)])
+    def test_few_tail_evaluations(self, monkeypatch, p, nu):
+        # Newton steps from Hill's start converge quadratically
+        calls = []
+        tail = special._t_upper_tail
+        monkeypatch.setattr(special, "_t_upper_tail", lambda t, v: calls.append(t) or tail(t, v))
+        student_t_quantile(p, nu)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.5, 3, 30, 105, 1e3, 99799, 1e8, 1e18])
+    def test_round_trip_to_rounding(self, nu):
+        # the tail at the quantile is alpha to within what rounding t to a
+        # double can move it, at every nu and far into the tail
+        for alpha in (1e-12, 1e-6, 0.001, 0.025, 0.05, 0.25, 0.45, 0.4999):
+            q = -student_t_quantile(alpha, nu)
+            assert math.isclose(student_t_sf(q, nu).value, alpha, rel_tol=1e-13), alpha
 
     def test_monotone_in_p(self):
         qs = [student_t_quantile(0.02 + 0.03 * i, 105) for i in range(33)]
