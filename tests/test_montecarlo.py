@@ -535,6 +535,7 @@ class TestLinearQuantile:
                  min_size=1, max_size=60),
         st.floats(0.0, 1.0) | st.sampled_from(montecarlo.PROBE_QUANTILES),
     )
+    @example([-0.0], 0.0)  # found: np.quantile gives -0.0, this 0.0
     @example([-math.inf, math.inf], 0.5)
     @example([1.0, math.inf], 0.95)
     @example([-math.inf, -math.inf, 2.0], 0.25)

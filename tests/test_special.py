@@ -184,6 +184,8 @@ class TestStudentTSf:
     @example(1.1287823048921275, 218627611809579.62)
     @example(2.0, 10**14)
     @example(6.3, 10**10)
+    @example(78.0, 31623)  # found: a tail below 1e-1000, past betainc's reach
+    @example(-75.0, 794328)  # found: its complement, 1.0 - 1e-1000
     @settings(max_examples=300)
     def test_within_the_bound_or_a_domain_error(self, t, nu):
         # every t statistic at every integer dof (and the found non-integer
@@ -206,6 +208,14 @@ class TestStudentTSf:
         # tail, or its log where it underflows, keeps falling across the cut
         cut = math.sqrt(_FAR_TAIL * nu)
         logs = [student_t_sf(cut * (1.0 + 1e-9 * i), nu).log_value for i in range(-200, 201)]
+        assert all(u > v for u, v in zip(logs, logs[1:]))
+
+    @pytest.mark.parametrize("nu", [1e3, 1e5, 1e9, 1e18])
+    def test_no_fall_where_erfc_underflows(self, nu):
+        # from z = 700 on, Q(1/2, z) comes from the scaled erfc's series
+        # instead of erfc: the log tail keeps falling across, at steps of 1e-12
+        t = math.sqrt(nu * math.expm1(700.0 / (0.5 * nu - 0.25)))
+        logs = [student_t_sf(t * (1.0 + 1e-12 * i), nu).log_value for i in range(-2000, 2001)]
         assert all(u > v for u, v in zip(logs, logs[1:]))
 
     @pytest.mark.parametrize("nu", [1e5, 1e8, 1e10])
