@@ -288,9 +288,9 @@ class CalibrationReport(NamedTuple):
 # How far below the largest distance found a block's bounds must lie before its
 # samples go unevaluated.  student_t_cdf is monotone only up to its own error.
 # Below nu = 30, near |t| = 3**0.5, where its continued fraction changes
-# branch, it falls by up to 2.9e-15 between adjacent doubles (nu = 28; 3e-16
-# to 1e-15 for nu <= 12).  From nu = 30 on nothing changes branch there, and
-# scans find falls of an ulp at most.  The slack is 350 times the largest fall.
+# branch, it falls by up to 3.2e-15 between adjacent doubles (nu = 28; 3e-16
+# to 8e-16 for nu <= 12).  From nu = 30 on nothing changes branch there, and
+# scans find falls of an ulp at most.  The slack is 310 times the largest fall.
 _KS_SLACK = 1e-12
 
 

@@ -4,22 +4,24 @@ The headline quantities of this package are upper-tail probabilities around
 1e-10 and below, so every routine here evaluates the small tail directly
 instead of taking complements of CDF values near 1.  P[T > t] is
 I_x(nu/2, 1/2) / 2 with x = nu/(nu + t^2), and ln x = -log1p(t^2/nu) is
-exact to rounding however close x is to 1.  One of three routes takes it:
+exact to rounding however close x is to 1.  One of two routes takes it:
 
-- t^2/nu > 20: the continued fraction of I_x, x being at most 1/21;
-- otherwise, nu >= 30: the large-a expansion BGRAT with b = 1/2 (DiDonato &
-  Morris, ACM TOMS 18(3), 1992, Algorithm 708), on Q(1/2, z) = erfc(sqrt(z));
-- otherwise, nu < 30: the continued fraction on the smaller of I_x and its
-  complement.
+- nu >= 30 and t^2/nu <= 20: the large-a expansion BGRAT with b = 1/2
+  (DiDonato & Morris, ACM TOMS 18(3), 1992, Algorithm 708), on
+  Q(1/2, z) = erfc(sqrt(z));
+- otherwise: the continued fraction on the smaller of I_x and its
+  complement, from ln x and ln(1 - x).
 
-Quantiles are Newton steps on the log tail from Hill's start (CACM 13(10),
-1970, Algorithm 396).  The only dependency is the Python standard library,
-whose ``math.lgamma`` is the log-gamma used here.
+A quantile is the smallest double whose log tail is at most ln alpha, found
+by bisecting the bit patterns of the doubles.  The only dependency is the
+Python standard library, whose ``math.lgamma`` is the log-gamma used here.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
 import sys
 from typing import NamedTuple
 
@@ -46,7 +48,6 @@ class ConvergenceError(ArithmeticError):
 _LN_HALF = math.log(0.5)
 _LN10 = math.log(10.0)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
-_T_MAX = sys.float_info.max
 
 # a = nu/2 from which ln B(a, 1/2) is taken from its large-a series, whose
 # truncation error is 7e-18 at a = 15, and the t tail from BGRAT
@@ -146,18 +147,19 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def _inc_beta(a: float, b: float, x: float, xc: float) -> tuple[float, float]:
-    """(I_x(a, b), its log) for 0 < x < 1, from x and xc = 1 - x each computed by the caller.
+def _inc_beta(a: float, b: float, ln_x: float, ln_xc: float) -> tuple[float, float]:
+    """(I_x(a, b), its log) for 0 < x < 1, from ln x and ln(1 - x) each computed by the caller.
 
     The continued fraction runs on whichever of I_x(a, b) and I_xc(b, a) is
     the numerically smaller branch; on the second, I = 1 - I_xc(b, a), whose
     log is -inf where that leaves nothing.
     """
-    ln_front = a * math.log(x) + b * math.log(xc) - _log_beta(a, b)
+    ln_front = a * ln_x + b * ln_xc - _log_beta(a, b)
+    x = math.exp(ln_x)
     if x < (a + 1.0) / (a + b + 2.0):
         log_value = ln_front + math.log(_beta_cf(a, b, x)) - math.log(a)
         return math.exp(log_value), log_value
-    value = 1.0 - math.exp(ln_front) * _beta_cf(b, a, xc) / b
+    value = 1.0 - math.exp(ln_front) * _beta_cf(b, a, math.exp(ln_xc)) / b
     return value, math.log(value) if value > 0.0 else -math.inf
 
 
@@ -176,7 +178,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     if x == 0.5 and a == b:
         return 0.5
-    return _inc_beta(a, b, x, 1.0 - x)[0]
+    return _inc_beta(a, b, math.log(x), math.log1p(-x))[0]
 
 
 # d_1 .. d_32 of BGRAT for b = 1/2, which depend on nothing else, each rounded
@@ -242,33 +244,21 @@ def _bgrat_tail(a: float, ln1p_r: float) -> tuple[float, float]:
     return math.exp(log_value), log_value
 
 
-def _log1p_t2_nu(t: float, nu: float) -> tuple[float, float]:
-    """(r, log1p(r)) for r = t^2/nu; r is inf only where it is past the largest double."""
-    r = t * (t / nu)
-    if r == math.inf:
-        return r, 2.0 * math.log(t) - math.log(nu)
-    return r, math.log1p(r)
-
-
 def _t_upper_tail(t: float, nu: float) -> tuple[float, float]:
     """(value, log value) of P[T > t] for t >= 0 under nu degrees of freedom.
 
-    Takes ln x = -log1p(t^2/nu) and, below nu = 30, x and its complement each
-    from their own quotient, so no accuracy is lost to 1 - x cancellation.
+    With r = t^2/nu, ln x = -log1p(r) and ln(1 - x) = -log1p(1/r) are each
+    exact to rounding, so no accuracy is lost to 1 - x cancellation; where r
+    is past the largest double, log1p(r) is 2 ln t - ln nu.
     """
     a = 0.5 * nu
-    r, ln1p_r = _log1p_t2_nu(t, nu)
+    r = t * (t / nu)
     if r == 0.0:
         return 0.5, _LN_HALF
-    if r > _FAR_TAIL:  # ln(1 - x) = -log1p(1/r)
-        log_value = (_LN_HALF - a * ln1p_r - 0.5 * math.log1p(1.0 / r) - _log_beta(a, 0.5)
-                     + math.log(_beta_cf(a, 0.5, math.exp(-ln1p_r))) - math.log(a))
-        return math.exp(log_value), log_value
-    if a >= _LARGE_A:
+    ln1p_r = math.log1p(r) if r < math.inf else 2.0 * math.log(t) - math.log(nu)
+    if a >= _LARGE_A and r <= _FAR_TAIL:
         return _bgrat_tail(a, ln1p_r)
-    t2 = t * t
-    denom = nu + t2
-    value, log_value = _inc_beta(a, 0.5, nu / denom, t2 / denom)
+    value, log_value = _inc_beta(a, 0.5, -ln1p_r, -math.log1p(1.0 / r))
     return 0.5 * value, _LN_HALF + log_value
 
 
@@ -300,8 +290,9 @@ def student_t_cdf(t: float, nu: float) -> float:
 def student_t_quantile(p: float, nu: float) -> float:
     """Inverse CDF of the Student t distribution.
 
-    Newton steps on the directly-evaluated log tail from Hill's start;
-    accurate to well below 1e-10 in probability space.
+    The smallest double whose directly evaluated log tail is at most the
+    log of min(p, 1 - p), so within an ulp of the root up to the tail's own
+    rounding.
     """
     p = float(p)
     nu = float(nu)
@@ -317,86 +308,24 @@ def student_t_quantile(p: float, nu: float) -> float:
     return -t if p < 0.5 else t
 
 
-def _normal_isf(alpha: float) -> float:
-    """z with P[Z > z] ~= alpha for 0 < alpha <= 1/2, within 4.5e-4 (Abramowitz & Stegun 26.2.23)."""
-    s = math.sqrt(-2.0 * math.log(alpha))
-    return s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
-        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _hill(alpha: float, nu: float) -> float:
-    """Hill's approximation to the t with P[T > t] = alpha (CACM 13(10), 1970, Algorithm 396).
-
-    Below nu = 1, where its constants do not exist, the tail's power law
-    P[T > t] ~= nu^(nu/2 - 1) t^-nu / B(nu/2, 1/2) instead.  Capped at the
-    largest double.
-    """
-    if nu < 1.0:
-        ln_t = 0.5 * math.log(nu) - (math.log(nu) + _log_beta(0.5 * nu, 0.5) + math.log(alpha)) / nu
-        return math.exp(min(ln_t, math.log(_T_MAX)))
-    a = 1.0 / (nu - 0.5)
-    b = 48.0 / (a * a)
-    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * nu
-    ln_y = 2.0 * (math.log(2.0 * d) + math.log(alpha)) / nu
-    if ln_y > math.log(0.05 + a):  # about the normal
-        x = -_normal_isf(alpha)
-        if nu < 5.0:
-            c += 0.3 * (nu - 4.5) * (x + 0.6)
-        c += (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b
-        y = x * x
-        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
-        return math.sqrt(nu * math.expm1(a * y * y))
-    if ln_y < -36.0:  # y below 2^-52: t = sqrt(nu / y), as far as a double resolves
-        return math.exp(min(0.5 * (math.log(nu) - ln_y), math.log(_T_MAX)))
-    y = math.exp(ln_y)
-    y = ((1.0 / (((nu + 6.0) / (nu * y) - 0.089 * d - 0.822) * (nu + 2.0) * 3.0)
-          + 0.5 / (nu + 4.0)) * y - 1.0) * (nu + 1.0) / (nu + 2.0) + 1.0 / y
-    return math.sqrt(nu * y)
-
-
-_ISF_MAX_STEPS = 100
+# the bit pattern of the largest double; those of the nonnegative doubles,
+# read as integers, are in the order of the doubles, and one past it is inf's
+_T_MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
 
 
 def _t_isf(alpha: float, nu: float) -> float:
-    """Solve P[T > t] = alpha for t > 0 (alpha < 1/2) by Newton steps on ln sf.
+    """The smallest double t >= 0 whose log tail ln P[T > t] is at most ln alpha.
 
-    The step is (ln sf - ln alpha) sf / pdf, from the log pdf
-    ln pdf(0) - (nu + 1)/2 log1p(t^2/nu).  In the body (t^2 <= nu), where
-    ln sf is nearly linear in t, it is added to t; on the flanks, where ln sf
-    is nearly linear in ln t, step / t is added to ln t.  The points
-    evaluated bracket the root, and a step that leaves the bracket halves it
-    instead (or, with no point above the root yet, tries the largest double).
-    Convergence is quadratic, so a step below 1e-9 t leaves an error far
-    below rounding and is the last; so is a step from a tail within 2^-50 of
-    alpha, which near t = 0 rounding noise would otherwise keep moving.  inf
-    when the tail is still above alpha at the largest double.
+    Bisects the bit patterns from 0.0 to the largest double, at most 63 tail
+    evaluations; inf where even the largest double leaves a tail above alpha.
     """
     ln_alpha = math.log(alpha)
-    a = 0.5 * nu
-    ln_pdf0 = -_log_beta(a, 0.5) - 0.5 * math.log(nu)
-    lo, hi = 0.0, math.inf
-    t = _hill(alpha, nu)
-    for _ in range(_ISF_MAX_STEPS):
-        _, log_sf = _t_upper_tail(t, nu)
-        excess = log_sf - ln_alpha
-        if excess > 0.0:
-            if t == _T_MAX:
-                return math.inf
-            lo = t
-        else:
-            hi = t
-        ln_pdf = ln_pdf0 - (a + 0.5) * _log1p_t2_nu(t, nu)[1]
-        # sf / pdf is about t / nu far out: capped where nu is below ~1e-300
-        step = excess * math.exp(min(log_sf - ln_pdf, 709.0))
-        if abs(step) < 1e-9 * t or abs(excess) < 2.0**-50:
-            return t + step
-        if t * t <= nu:
-            new = t + step
-        else:
-            new = t * math.exp(step / t) if step < 700.0 * t else math.inf
-        if lo < new < hi:
-            t = new
-        else:
-            t = _T_MAX if hi == math.inf else 0.5 * lo + 0.5 * hi
-    raise ConvergenceError(f"t quantile did not converge for alpha={alpha!r}, nu={nu!r}")
+
+    def past(bits: int) -> bool:
+        return _t_upper_tail(_double(bits), nu)[1] <= ln_alpha
+
+    return _double(bisect.bisect_left(range(_T_MAX_BITS + 1), True, key=past))

@@ -320,6 +320,18 @@ class TestScenario:
         assert out.startswith("district_id,name,")
         assert "moved 0" in err
 
+    def test_no_deficit_without_votes_exits_one(self, capsys, tmp_path):
+        # candidate 1 already leads, so there is no default number of votes to move
+        path = tmp_path / "c1_leads.csv"
+        path.write_text(
+            "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+            "1,A,1000,600,200,120,green\n2,B,1000,600,200,120,red\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "scenario", str(path))
+        message = "error: official margin is -480; no deficit to reassign\n"
+        assert (code, out, err) == (1, "", message)
+
     def test_oversized_request_fails(self, capsys, fixture_arg):
         code, _, err = run(capsys, "scenario", fixture_arg, "--votes", "99999999")
         assert code == 1
@@ -395,9 +407,9 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "variant, digest",
         [
-            ((), "49f9b3fac452995acf5dec915a638eedd7c9d081d8b55451f417d579a213c57a"),
+            ((), "87706d54432999f7eec75d7399087175599e541f196c729a7a11532976bbd84e"),
             (("--include-dubious",),
-             "9ac744c3cd02b8cabed79d4a00b4283fc9c2ab48028001ff49a0aa674e4e4f9a"),
+             "ee0620e29d8ff9a5ab6e10f2266b45f35b19706fe687d7ce62e46482f100d165"),
         ],
         ids=["M11", "M14"],
     )

@@ -142,6 +142,18 @@ class TestRecordInvariants:
         with pytest.raises(ValidationError):
             dataset_of((d, d))
 
+    def test_attributes_cannot_change(self, dataset):
+        message = "^cannot change 'status': an ElectionDataset is immutable$"
+        with pytest.raises(AttributeError, match=message):
+            dataset.status = ()
+        with pytest.raises(AttributeError, match=message):
+            del dataset.status
+
+    def test_equal_datasets_hash_equal(self, dataset):
+        twin = dataset_of(rows_of(dataset))
+        assert twin is not dataset and twin == dataset
+        assert hash(twin) == hash(dataset) and len({twin, dataset}) == 1
+
     @pytest.mark.parametrize(
         "rows, row, reason",
         [

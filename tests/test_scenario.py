@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvaudit.data import serialize_dataset
+from mvaudit.errors import AuditError
 from mvaudit.scenario import CapacityError, _largest_remainder, build_reversal_scenario
 from tests.conftest import dataset_of, make_random_dataset, rows_of
 
@@ -83,6 +84,11 @@ class TestAllocation:
         assert by_total.votes_moved == {"s001": 2, "s002": 6}
         # capacities are 10 and 150: quotas 0.5/7.5, remainder tie -> lower id
         assert by_capacity.votes_moved == {"s001": 1, "s002": 7}
+
+    def test_negative_votes_rejected(self):
+        ds, reds = two_red_dataset()
+        with pytest.raises(AuditError, match="^votes_to_move must be nonnegative, got -1$"):
+            build_reversal_scenario(ds, reds, -1)
 
     def test_unknown_base_rejected(self):
         ds, reds = two_red_dataset()

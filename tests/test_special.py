@@ -363,6 +363,23 @@ class TestStudentTCdf:
             )
 
 
+def assert_smallest_double_past(alpha, nu):
+    """_t_isf(alpha, nu) is the smallest double whose log tail is at most ln
+    alpha, or inf where the largest double leaves more, and it is found by
+    bisecting the bit patterns of the doubles in at most 64 evaluations."""
+    calls = []
+    tail = special._t_upper_tail
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special, "_t_upper_tail", lambda t, v: calls.append(t) or tail(t, v))
+        t = special._t_isf(alpha, nu)
+    assert len(calls) <= 64
+    ln_alpha = math.log(alpha)
+    if t == math.inf:
+        assert tail(sys.float_info.max, nu)[1] > ln_alpha
+    else:
+        assert tail(t, nu)[1] <= ln_alpha < tail(math.nextafter(t, 0.0), nu)[1]
+
+
 class TestStudentTQuantile:
     @pytest.mark.parametrize(
         "p, nu, expected",
@@ -375,7 +392,7 @@ class TestStudentTQuantile:
         for entry in t_oracle["quantiles"]:
             p, nu = float(entry["p"]), entry["nu"]
             q = student_t_quantile(p, nu)
-            assert q == pytest.approx(float(entry["t"]), rel=1e-9, abs=1e-9)
+            assert math.isclose(q, float(entry["t"]), rel_tol=2e-15), (p, nu)
             assert abs(student_t_cdf(q, nu) - p) <= 1e-10
 
     @pytest.mark.parametrize("nu", [1, 2, 5, 105, 200])
@@ -386,13 +403,13 @@ class TestStudentTQuantile:
             assert abs(student_t_cdf(q, nu) - p) <= 1e-9, (p, nu)
 
     @pytest.mark.parametrize("p, nu", [(0.995, 99799), (0.95, 102), (0.05, 105), (1e-300, 1e18)])
-    def test_few_tail_evaluations(self, monkeypatch, p, nu):
-        # Newton steps from Hill's start converge quadratically
-        calls = []
-        tail = special._t_upper_tail
-        monkeypatch.setattr(special, "_t_upper_tail", lambda t, v: calls.append(t) or tail(t, v))
-        student_t_quantile(p, nu)
-        assert len(calls) <= 4
+    def test_few_tail_evaluations(self, p, nu):
+        assert_smallest_double_past(min(p, 1.0 - p), nu)
+
+    @given(alpha=st.floats(1e-300, 0.5, exclude_max=True), nu=st.floats(0.01, 1e18))
+    @settings(max_examples=200)
+    def test_smallest_double_past_alpha(self, alpha, nu):
+        assert_smallest_double_past(alpha, nu)
 
     @pytest.mark.parametrize("nu", [0.2, 0.5, 1.5, 3, 30, 105, 1e3, 99799, 1e8, 1e18])
     def test_round_trip_to_rounding(self, nu):
@@ -410,6 +427,11 @@ class TestStudentTQuantile:
     def test_domain(self, p):
         with pytest.raises(DomainError):
             student_t_quantile(p, 105)
+
+    @pytest.mark.parametrize("nu", [0.0, math.nan])
+    def test_dof_domain(self, nu):
+        with pytest.raises(DomainError, match="^student_t_quantile requires nu > 0"):
+            student_t_quantile(0.3, nu)
 
     def test_quantile_past_two_to_the_1023(self):
         # the doubling bracket stops at the largest double instead of at inf
