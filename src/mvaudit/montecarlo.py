@@ -6,26 +6,25 @@ and within a replication the district at position i consumes uniform draws
 2i and 2i+1 (Box-Muller, cosine branch).
 
 Replications are simulated in blocks of rows (replications) by districts:
-at most BLOCK_ROWS rows and, unless one row is wider, at most BLOCK_ELEMENTS
-rows x districts, so peak memory grows with neither count.  Each row is
-filled from its own stream (one generator, reset to the state of a fresh
+at most BLOCK_ELEMENTS rows x districts, or one row where a row alone is
+wider, so peak memory grows with neither count.  Each row is filled from its
+own stream (one generator, reset to the state of a fresh
 Philox(key=seed, counter=[0,0,0,r]) before each row) and transformed
-elementwise.  A ``calibrate`` or ``replicate_once`` call splits the dataset,
-sums its contested side and fits its accepted side once, before the first
-block; ``calibrate`` also takes a default k and sigma from that fit.
-Simulation changes only mail_c1, so that observed fit supplies s_xx, dof and
-the geometry checks, and each row recomputes only s_xy and the weighted
-residual sum of squares, from the terms ``wls.fit_through_origin`` uses:
-int * int / int for s_xy (correctly rounded at any size; float terms when
-max(ballot_c1) * max(mail_total) < 2**53 over the fitted rows, as
+elementwise.  ``calibrate`` and ``replicate_once`` (a one-row run) share
+``_replications``, which splits the dataset, fits its accepted side (also
+for a default k or sigma) and sums its contested side once, before the
+first block.  Simulation changes only mail_c1, so that observed fit supplies
+s_xx, dof and the geometry checks, and each row recomputes only s_xy and the
+weighted residual sum of squares, from the terms ``wls.fit_through_origin``
+uses: int * int / int for s_xy (correctly rounded at any size; float terms
+when max(ballot_c1) * max(mail_total) < 2**53 over the fitted rows, as
 mail_c1 <= mail_total makes every product exact) and the correctly rounded
 sum ``math.fsum`` returns, whatever the grouping.  ``_fsums`` computes that
 sum for a whole block at once with error-free TwoSum steps in numpy and
 hands the rare replication whose rounding it cannot prove to ``math.fsum``;
 the int terms are summed by ``math.fsum`` directly.  The realized contested
 aggregate is an exact integer sum.  So a replication gives the same bits
-alone (``replicate_once``), in any block and in any order; the block size
-only bounds peak memory.
+alone, in any block and in any order; the block size bounds only memory.
 
 The Kolmogorov-Smirnov distance evaluates the t cdf only at the samples
 where the maximum can lie, bracketing the others between evaluated ones
@@ -58,9 +57,8 @@ __all__ = [
 
 PROBE_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
-# Replications simulated together, and their draws per district: bounds peak
-# memory whatever the replication and district counts.
-BLOCK_ROWS = 256
+# Draws per kind in one block (replications x districts): bounds peak memory
+# whatever the replication and district counts.
 BLOCK_ELEMENTS = 2**15
 
 
@@ -173,20 +171,35 @@ def _fsums(terms: np.ndarray) -> np.ndarray:
 
 def _replications(
     ds: ElectionDataset,
-    fit: RegressionFit,
-    totals: RedTotals,
-    params: ModelParameters,
+    params: ModelParameters | tuple[float | None, float | None],
     seed: int,
     replications: range,
     include_dubious: bool,
-) -> tuple[list[float | None], list[int], list[int]]:
-    """The (t_stats, realized, n_clamped) columns of ``replications``, in order.
+) -> tuple[RegressionFit, ModelParameters, RedTotals, list[float | None], list[int], list[int]]:
+    """The observed fit, the model, the contested totals and the replications' columns.
 
-    A t statistic is None where pred_sd is 0.  ``fit`` is the observed
-    accepted side's and ``totals`` the contested side's; see the module
-    docstring for what each replication takes from them.
+    A None in ``params`` stands for the observed accepted-side fit's slope or
+    residual sd.  The columns are (t_stats, realized, n_clamped), in
+    replication order; a t statistic is None where pred_sd is 0.  See the
+    module docstring for what each replication takes from the observed side.
     """
     import numpy as np
+    green, red = ds.split(include_dubious)
+    k, sigma = params
+    fit = None
+    if k is None or sigma is None:  # a fitted default is checked before the seed
+        fit = fit_through_origin(green)
+        k = fit.slope if k is None else k
+        sigma = math.sqrt(fit.sigma2) if sigma is None else sigma
+    params = ModelParameters(k, sigma)
+    if not 0 <= seed < 2**128:  # the Philox key
+        raise AuditError(f"seed must be in [0, 2**128), got {seed}")
+    first, last = replications.start, replications.stop - 1
+    if not 0 <= first <= last < 2**64:  # one word of the Philox counter
+        raise AuditError(f"replication must be in [0, 2**64), got {first if first < 0 else last}")
+    totals = aggregate_red(red)
+    if fit is None:
+        fit = fit_through_origin(green)
     if totals.ballot_c1 == 0 and totals.mail_total == 0:
         raise AuditError(
             "contested districts have neither candidate-1 ballot votes nor mail votes: "
@@ -196,7 +209,6 @@ def _replications(
     if top_mail >= 2**53:
         raise AuditError(f"mail_total {top_mail} is 2**53 or more: counts are drawn as doubles")
     # 53-bit uniforms keep every Box-Muller |z| below 8.58
-    k, sigma = params
     if not math.isfinite(abs(k) * max(ds.ballot_c1) + 8.6 * sigma * math.sqrt(top_mail)):
         raise AuditError(f"model k={k!r}, sigma={sigma!r} overflows a double in the draws")
     contested = contested_statuses(include_dubious)
@@ -211,7 +223,7 @@ def _replications(
     # one row per fitted district and one column per replication, for _fsums
     ballot_c1_f, mail_total_f = columns[0][used, None], columns[1][used, None]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53
-    rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // max(len(ds), 1)))
+    rows = max(1, BLOCK_ELEMENTS // len(ds))
     t_stats, realized, n_clamped = [], [], []
     for start in range(replications.start, replications.stop, rows):
         block = range(start, min(start + rows, replications.stop))
@@ -232,12 +244,7 @@ def _replications(
             t_stats.append(t if pred_sd > 0.0 else None)
         realized += block_realized
         n_clamped += clamps.tolist()
-    return t_stats, realized, n_clamped
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**128:  # the Philox key
-        raise AuditError(f"seed must be in [0, 2**128), got {seed}")
+    return fit, params, totals, t_stats, realized, n_clamped
 
 
 def replicate_once(
@@ -254,15 +261,9 @@ def replicate_once(
     reversal probability.  The dataset must have contested districts and its
     observed accepted side must admit a fit; the errors are ``calibrate``'s.
     """
-    _check_seed(seed)
-    if not 0 <= replication < 2**64:  # one word of the Philox counter
-        raise AuditError(f"replication must be in [0, 2**64), got {replication}")
-    green, red = ds.split(include_dubious)
-    totals = aggregate_red(red)
-    fit = fit_through_origin(green)
     rows = range(replication, replication + 1)
-    columns = _replications(ds, fit, totals, params, seed, rows, include_dubious)
-    return ReplicationOutcome(*(column[0] for column in columns))
+    *_, t_stats, realized, n_clamped = _replications(ds, params, seed, rows, include_dubious)
+    return ReplicationOutcome(t_stats[0], realized[0], n_clamped[0])
 
 
 class CalibrationReport(NamedTuple):
@@ -294,7 +295,7 @@ class CalibrationReport(NamedTuple):
 _KS_SLACK = 1e-12
 
 
-def _ks_distance(sorted_values: np.ndarray, dof: int) -> float:
+def _ks_distance(ordered: list[float], dof: int) -> float:
     """max over i of (i + 1)/n - F(x_i) and F(x_i) - i/n, F the t cdf.
 
     F is evaluated at every 32nd sample and the last.  Between samples j < k,
@@ -303,13 +304,12 @@ def _ks_distance(sorted_values: np.ndarray, dof: int) -> float:
     largest distance found, by _KS_SLACK, is passed over and any other is
     split at its middle sample.  The result is the full maximum, bit for bit.
     """
-    n = len(sorted_values)
-    values = sorted_values.tolist()
+    n = len(ordered)
     cdf: dict[int, float] = {}
 
     def F(i: int) -> float:
         if i not in cdf:
-            cdf[i] = student_t_cdf(values[i], dof)
+            cdf[i] = student_t_cdf(ordered[i], dof)
         return cdf[i]
 
     def distance(i: int) -> float:
@@ -361,31 +361,17 @@ def calibrate(
     are drawn as doubles) and a model whose draws stay finite, and that fit
     must succeed; failed fits of simulated elections are counted, not fatal.
     """
-    import numpy as np
     if replications < 100:
         raise AuditError(f"need at least 100 replications, got {replications}")
-    green, red = ds.split(include_dubious)
-    k, sigma = params
-    fit = None
-    if k is None or sigma is None:  # a fitted default is checked before the seed
-        fit = fit_through_origin(green)
-        k = fit.slope if k is None else k
-        sigma = math.sqrt(fit.sigma2) if sigma is None else sigma
-    params = ModelParameters(k, sigma)
-    _check_seed(seed)
-    totals = aggregate_red(red)
-    if fit is None:
-        fit = fit_through_origin(green)
-    t_stats, realized, n_clamped = _replications(
-        ds, fit, totals, params, seed, range(replications), include_dubious
+    fit, params, totals, t_stats, realized, n_clamped = _replications(
+        ds, params, seed, range(replications), include_dubious
     )
     t_stats = [t for t in t_stats if t is not None]
-    ordered = np.sort(np.array(t_stats, dtype=float))
-    ks = _ks_distance(ordered, fit.dof) if len(ordered) else math.nan
-    values = ordered.tolist()
+    ordered = sorted(t_stats)
+    ks = _ks_distance(ordered, fit.dof) if ordered else math.nan
     quantile_errors = {}
     for p in PROBE_QUANTILES:
-        empirical = _linear_quantile(values, p) if values else math.nan
+        empirical = _linear_quantile(ordered, p) if ordered else math.nan
         quantile_errors[p] = abs(empirical - student_t_quantile(p, fit.dof))
     return CalibrationReport(
         replications=replications,

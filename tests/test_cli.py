@@ -514,6 +514,16 @@ class TestCalibrate:
         assert code == 1 and out == ""
         assert "seed must be in [0, 2**128)" in err
 
+    def test_replications_past_the_counter_word_exit_one(self, capsys, fixture_arg):
+        # replication r is one 64-bit Philox counter word, so 2**64 + 1
+        # replications are rejected before any is drawn, not simulated until killed
+        args = ("calibrate", fixture_arg, "--reps", str(2**64 + 1))
+        message = f"replication must be in [0, 2**64), got {2**64}"
+        assert run(capsys, *args) == (1, "", f"error: {message}\n")
+        code, out, err = run(capsys, *args, "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "data", "message": message}}
+
 
 class TestValidate:
     def test_fixture_shape(self, capsys, fixture_arg):

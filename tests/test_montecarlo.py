@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mvaudit.errors import AuditError
 from mvaudit.montecarlo import (
     _KS_SLACK,
     BLOCK_ELEMENTS,
-    BLOCK_ROWS,
     ModelParameters,
     _float_columns,
     _fsums,
@@ -87,7 +87,7 @@ class TestSimulateElection:
         # one generator re-keyed per row must give each row what a fresh
         # Philox(key=seed, counter=[0, 0, 0, r]) gives, from mid-block on; for
         # odd n, 2n uniforms leave buffered draws behind each row
-        replications = range(BLOCK_ROWS // 2, BLOCK_ROWS // 2 + 9)
+        replications = range(128, 137)
         rows = _standard_normals(seed, replications, n)
         for row, r in zip(rows, replications):
             assert row.tobytes() == mc_oracle.standard_normals(seed, r, n).tobytes()
@@ -233,7 +233,7 @@ class TestCalibrate:
         monkeypatch.setattr(ElectionDataset, "split", counting_split)
         monkeypatch.setattr(montecarlo, "fit_through_origin", counting_fit)
         monkeypatch.setattr(cli, "fit_through_origin", counting_fit, raising=False)
-        monkeypatch.setattr(montecarlo, "BLOCK_ROWS", 16)
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", 16 * len(ds))
         calibrate(ds, PARAMS, replications=100, seed=4)
         assert calls == ["split", "fit"]
         calls.clear()
@@ -394,25 +394,30 @@ BIG_ROWS = {
 }
 
 
+# replications per block in the oracle comparison, small enough that each
+# run crosses block boundaries
+ORACLE_BLOCK_ROWS = 256
+
+
 class TestScalarOracleAgreement:
     @given(
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**128 - 1),
-        replications=st.integers(BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 60).filter(
-            lambda r: r % BLOCK_ROWS != 0
+        replications=st.integers(ORACLE_BLOCK_ROWS + 1, 2 * ORACLE_BLOCK_ROWS + 60).filter(
+            lambda r: r % ORACLE_BLOCK_ROWS != 0
         ),
         include_dubious=st.booleans(),
         case=st.sampled_from(("random", "big", "noise_free", "below_2**53", "above_2**53")),
     )
-    @example(data_seed=1, seed=2**128 - 1, replications=BLOCK_ROWS + 1, include_dubious=False,
-             case="random")
-    @example(data_seed=2, seed=7, replications=2 * BLOCK_ROWS + 3, include_dubious=True,
+    @example(data_seed=1, seed=2**128 - 1, replications=ORACLE_BLOCK_ROWS + 1,
+             include_dubious=False, case="random")
+    @example(data_seed=2, seed=7, replications=2 * ORACLE_BLOCK_ROWS + 3, include_dubious=True,
              case="big")
-    @example(data_seed=3, seed=0, replications=BLOCK_ROWS + 50, include_dubious=True,
+    @example(data_seed=3, seed=0, replications=ORACLE_BLOCK_ROWS + 50, include_dubious=True,
              case="noise_free")
-    @example(data_seed=4, seed=11, replications=BLOCK_ROWS + 5, include_dubious=False,
+    @example(data_seed=4, seed=11, replications=ORACLE_BLOCK_ROWS + 5, include_dubious=False,
              case="below_2**53")
-    @example(data_seed=5, seed=12, replications=BLOCK_ROWS + 5, include_dubious=True,
+    @example(data_seed=5, seed=12, replications=ORACLE_BLOCK_ROWS + 5, include_dubious=True,
              case="above_2**53")
     @settings(max_examples=25)
     def test_calibrate_matches_scalar_replication(
@@ -443,7 +448,15 @@ class TestScalarOracleAgreement:
                 k=float(rng.uniform(0.02, 0.5)), sigma=float(rng.uniform(0.5, 10.0))
             )
 
-        report = calibrate(ds, params, replications, seed, include_dubious=include_dubious)
+        # the datasets are far narrower than BLOCK_ELEMENTS allows for, so the
+        # block bound is patched here: a function-scoped fixture would not be
+        # reset between Hypothesis examples
+        with mock.patch.object(montecarlo, "BLOCK_ELEMENTS", ORACLE_BLOCK_ROWS * len(ds)), \
+                mock.patch.object(montecarlo, "_mail_counts", wraps=_mail_counts) as draws:
+            report = calibrate(ds, params, replications, seed, include_dubious=include_dubious)
+        blocks = [call.args[3] for call in draws.call_args_list]
+        assert [r for block in blocks for r in block] == list(range(replications))
+        assert len(blocks) == math.ceil(replications / ORACLE_BLOCK_ROWS) >= 2
         oracle = mc_oracle.calibrate(ds, params, replications, seed, include_dubious)
         assert [t.hex() for t in report.t_stats] == [t.hex() for t in oracle.t_stats]
         assert report.failed_replications == oracle.failed_replications

@@ -16,6 +16,7 @@ from mvaudit.special import (
     _BGRAT_D,
     _FAR_TAIL,
     _LARGE_A,
+    ConvergenceError,
     DomainError,
     TailProbability,
     _bgrat_tail,
@@ -147,6 +148,12 @@ class TestRegIncBeta:
     def test_monotone_in_x(self):
         values = [reg_inc_beta(i / 200, 52.5, 0.5) for i in range(201)]
         assert all(u <= v for u, v in zip(values, values[1:]))
+
+    def test_continued_fraction_cap_raises(self):
+        # a = b = 1e6 just below the mean needs far more than _CF_MAX_ITER
+        # terms: the cap raises instead of returning a partial sum
+        with pytest.raises(ConvergenceError, match="did not converge for a=1000000.0"):
+            reg_inc_beta(0.5 - 1e-9, 1e6, 1e6)
 
 
 class TestStudentTSf:

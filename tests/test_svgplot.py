@@ -15,6 +15,11 @@ def circles(svg_text):
     return [el for el in root.iter(f"{SVG_NS}circle")]
 
 
+def fit_lines(svg_text):
+    root = ET.fromstring(svg_text)
+    return [el for el in root.iter(f"{SVG_NS}line") if el.get("class") == "fit"]
+
+
 def classes_of(svg_text):
     counts = {"green": 0, "red": 0, "dubious": 0}
     for c in circles(svg_text):
@@ -56,8 +61,31 @@ class TestRenderScatter:
     def test_display_fit_labelled(self, dataset):
         svg = render_scatter(dataset)
         assert "display fit" in svg
-        root = ET.fromstring(svg)
-        assert any(el.get("class") == "fit" for el in root.iter(f"{SVG_NS}line"))
+        assert len(fit_lines(svg)) == 1
+
+    def test_no_fit_line_when_ballot_shares_are_equal(self):
+        # every accepted district at 40 % of ballot votes: the display fit's
+        # x variance is 0, so no line is drawn, though the legend still names it
+        svg = render_scatter(dataset_of([
+            ("1", "A", 1000, 400, 200, 80, "green"),
+            ("2", "B", 500, 200, 100, 70, "green"),
+            ("3", "C", 1000, 500, 200, 90, "red"),
+        ]))
+        assert fit_lines(svg) == []
+        assert "display fit" in svg
+
+    def test_fit_line_clipped_at_bottom_and_top(self):
+        # accepted points (10 %, 0 %) and (20 %, 100 %): the line y = 10x - 100
+        # leaves the box through y = 0 at x = 10 and through y = 100 at x = 20
+        svg = render_scatter(dataset_of([
+            ("1", "A", 1000, 100, 200, 0, "green"),
+            ("2", "B", 1000, 200, 200, 200, "green"),
+            ("3", "C", 1000, 500, 200, 90, "red"),
+        ]))
+        [line] = fit_lines(svg)
+        assert (line.get("x1"), line.get("y1"), line.get("x2"), line.get("y2")) == (
+            "124.00", "580.00", "178.00", "50.00"
+        )
 
     def test_zero_denominator_districts_skipped(self):
         ds = parse_dataset(
