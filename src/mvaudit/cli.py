@@ -41,7 +41,8 @@ def _finite(obj):
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False))
+    json.dump(_finite(obj), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
+    print()
 
 
 def cmd_analyze(ds: ElectionDataset, args: argparse.Namespace) -> dict:

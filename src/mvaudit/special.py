@@ -300,8 +300,6 @@ def student_t_quantile(p: float, nu: float) -> float:
         raise DomainError(f"student_t_quantile requires nu > 0, got {nu!r}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"student_t_quantile requires 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
     t = _t_isf(p if p < 0.5 else 1.0 - p, nu)
     if t == math.inf:
         raise DomainError(f"t quantile at p={p!r}, nu={nu!r} is beyond the largest double")

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import gc
 import hashlib
 import json
+import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -555,6 +558,42 @@ class TestValidate:
         assert code == 1
         error = json.loads(out)["error"]
         assert error["type"] == "data" and error["message"].startswith(message)
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "{fixture}", "--level", "0.95"),
+            ("validate", "{fixture}"),
+            ("scenario", "{fixture}"),
+            ("plot", "{fixture}", "--out", "{out}"),
+            ("calibrate", "{fixture}", "--reps", "100"),
+            ("analyze", "{bad}"),
+        ],
+        ids=["analyze", "validate", "scenario", "plot", "calibrate", "data_error"],
+    )
+    def test_layout(self, capsys, fixture_arg, bad_csv, tmp_path, argv):
+        # two-space indent, sorted keys and one closing newline, whatever the
+        # command and however the encoder hands its chunks to stdout
+        paths = {"fixture": fixture_arg, "bad": bad_csv, "out": str(tmp_path / "f.svg")}
+        _, out, _ = run(capsys, *(arg.format(**paths) for arg in argv), "--json")
+        assert out == json.dumps(strict_json(out), indent=2, sort_keys=True) + "\n"
+
+    def test_written_as_it_is_encoded(self):
+        # written chunk by chunk, the text (about 110 B per float) is never held
+        # whole: what is left per float is _finite's copy of the list, 8 B
+        n = 50_000
+        payload = {"command": "calibrate", "t_stats": tuple(i / 7 for i in range(n))}
+        with open(os.devnull, "w", encoding="utf-8") as null, \
+                contextlib.redirect_stdout(null):
+            tracemalloc.start()
+            try:
+                cli._print_json(payload)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 24 * n
 
 
 class TestCollector:

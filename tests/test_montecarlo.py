@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -174,6 +175,21 @@ class TestCalibrate:
         assert report.ks_distance < 1.36 / math.sqrt(400)
         assert report.clamped_fraction <= 0.001
         assert report.mean_red_mail_c1 == pytest.approx(report.expected_red_mail_c1, rel=0.025)
+
+    def test_memory_per_replication(self, dataset):
+        # only what the report keeps grows with the run: the t statistics
+        # (24 B floats, a list, then the tuple and its sorted copy), not a
+        # column of realized aggregates or clamp counts per replication
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                calibrate(dataset, (None, None), replications, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # imports and first-call caches
+        assert peak(15_000) - peak(5_000) <= 48 * 10_000
 
     def test_wide_dataset_blocks_stay_within_budget(self, monkeypatch):
         # 3,000 districts leave room for 10 replications per block, and the

@@ -395,6 +395,12 @@ class TestStudentTQuantile:
     def test_closed_forms(self, p, nu, expected):
         assert student_t_quantile(p, nu) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("nu", [1e-3, 0.5, 1, 2.5, 29, 30, 105, 1e5, 1e18, 1.7e308])
+    def test_median_is_positive_zero(self, nu):
+        # no special case: t = 0 has the tail ln(1/2) exactly, the smallest double that does
+        q = student_t_quantile(0.5, nu)
+        assert q == 0.0 and math.copysign(1.0, q) == 1.0
+
     def test_oracle_quantiles(self, t_oracle):
         for entry in t_oracle["quantiles"]:
             p, nu = float(entry["p"]), entry["nu"]
