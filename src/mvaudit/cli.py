@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from functools import partial
 
 from . import __version__
@@ -302,15 +303,23 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        payload = args.func(load_dataset(args.input), args)
+        try:
+            payload, code = args.func(load_dataset(args.input), args), 0
+        except (AuditError, OSError) as exc:  # the input, --out, or stdout of a text command
+            if not args.json:
+                raise
+            payload, code = {"error": {"type": "data", "message": str(exc)}}, 1
         if args.json:
             _print_json(payload)
-        return 0
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+        return code
     except (AuditError, OSError) as exc:
-        if args.json:
-            _print_json({"error": {"type": "data", "message": str(exc)}})
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed: close it, or exit flushes it again and warns
+            with suppress(OSError):
+                sys.stdout.close()
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if collecting:

@@ -40,7 +40,7 @@ from itertools import chain, compress, islice, repeat
 from operator import attrgetter, le, not_
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import AuditError
 
@@ -87,53 +87,52 @@ class ValidationError(AuditError):
         super().__init__(reason)
 
 
-def _fault(columns: tuple[tuple, ...], new: frozenset[str], proved: frozenset[str]) -> str | None:
+def _fault(columns: tuple[tuple, ...], proved: frozenset[str]) -> str | None:
     """The first rule the columns break, or None; its message names the last row's value.
 
     The rules, in order: str ids and names, ids neither empty nor repeated, counts
     (ints in [0, 2**63)) in column order, known statuses, candidate-1 votes within their
-    totals.  Only rules that read a column named in ``new`` run, and no type or range rule
-    of a column in ``proved``: those passed before.  ``_check`` calls this on the shortest
-    prefix that breaks a rule, whose last row is then the one at fault.
+    totals.  No type or range rule runs on a column named in ``proved``: it passed them
+    before.  ``_check`` calls this on the shortest prefix that breaks a rule, whose last row
+    is then the one at fault.
     """
     ids, names, *counts, statuses = columns
-    typed = new - proved  # the columns whose type and range rules run
     for column, values in ("district_id", ids), ("name", names):
-        if column in typed and not all(map(isinstance, values, repeat(str))):
+        if column not in proved and not all(map(isinstance, values, repeat(str))):
             return f"{column} is not a str: {values[-1]!r}"
-    if "district_id" in new and not all(ids):
+    if not all(ids):
         return "empty district_id"
-    if "district_id" in new and len(set(ids)) < len(ids):
+    if len(set(ids)) < len(ids):
         return f"duplicate district_id {ids[-1]!r}"
     for column, values in zip(_COUNT_COLUMNS, counts):
-        if column not in typed:
+        if column in proved:
             continue
         ints = all(map(isinstance, values, repeat(int)))
         if not (ints and 0 <= min(values, default=0) and max(values, default=0) < _COUNT_BOUND):
             return f"bad integer in column {column}: {values[-1]!r}"
-    if "status" in new and not _STATUS_SET.issuperset(statuses):
+    if not _STATUS_SET.issuperset(statuses):
         return f"unknown status token {statuses[-1]!r}"
     ballot_total, ballot_c1, mail_total, mail_c1 = counts
     for kind, c1, total in ("ballot", ballot_c1, ballot_total), ("mail", mail_c1, mail_total):
-        if {f"{kind}_c1", f"{kind}_total"} & new and not all(map(le, c1, total)):
+        if not all(map(le, c1, total)):
             return f"{kind} votes for candidate exceed {kind} total"
     return None
 
 
-def _check(columns: tuple[tuple, ...], new=frozenset(HEADER), proved=frozenset()) -> None:
+def _check(columns: tuple[tuple, ...], proved=frozenset()) -> None:
     """Raise a ValidationError, with its row, for the first row that breaks a rule."""
     if len(set(map(len, columns))) > 1:
         raise ValidationError(f"columns differ in length: {tuple(map(len, columns))}")
-    if _fault(columns, new, proved) is None:
+    if _fault(columns, proved) is None:
         return
     good, bad = 0, len(columns[0])  # the first `good` rows break no rule, the first `bad` do
     while bad - good > 1:
         middle = (good + bad) // 2
-        if _fault(tuple(c[:middle] for c in columns), new, proved) is None:
+        if _fault(tuple(c[:middle] for c in columns), proved) is None:
             good = middle
         else:
             bad = middle
-    raise ValidationError(_fault(tuple(c[:bad] for c in columns), new, proved), bad - 1)
+    raise ValidationError(_fault(tuple(c[:bad] for c in columns), proved), bad - 1)
 
 
 class ElectionDataset:
@@ -202,12 +201,6 @@ class ElectionDataset:
     def _rows(self, selected: list[bool]) -> ElectionDataset:
         # rows of a checked dataset need no second check
         return ElectionDataset._of(tuple(tuple(compress(c, selected)) for c in _FIELDS(self)))
-
-    def with_mail_c1(self, mail_c1: Iterable[int]) -> ElectionDataset:
-        """This dataset with its mail_c1 column replaced, checked against the rules it can break."""
-        columns = (*_FIELDS(self)[:5], tuple(mail_c1), self.status)
-        _check(columns, frozenset({"mail_c1"}))
-        return ElectionDataset._of(columns)
 
 
 class RedTotals(NamedTuple):

@@ -10,7 +10,7 @@ project README for how it was built.
 from importlib.resources import files
 from pathlib import Path
 
-__all__ = ["FIXTURE_NAME", "fixture_path", "load_fixture"]
+__all__ = ["FIXTURE_NAME", "fixture_path"]
 
 FIXTURE_NAME = "austria2016.csv"
 
@@ -19,8 +19,3 @@ def fixture_path() -> Path:
     """Filesystem path of the bundled reference dataset."""
     return Path(str(files(__package__).joinpath(FIXTURE_NAME)))
 
-
-def load_fixture():
-    from ..data import load_dataset
-
-    return load_dataset(fixture_path())

@@ -93,9 +93,11 @@ def build_reversal_scenario(
             remaining -= take
         active = [k for k in active if capacity[k] > alloc[k]]
 
-    moved = map(alloc.get, ds.district_id, repeat(0))
+    # each district of red (ds's contested side) gains at most its mail_total - mail_c1: no check
+    mail_c1 = tuple(map(add, ds.mail_c1, map(alloc.get, ds.district_id, repeat(0))))
+    columns = (ds.district_id, ds.name, ds.ballot_total, ds.ballot_c1, ds.mail_total, mail_c1)
     return ScenarioResult(
-        modified=ds.with_mail_c1(map(add, ds.mail_c1, moved)),
+        modified=ElectionDataset._of((*columns, ds.status)),
         votes_moved=alloc,
         total_moved=votes_to_move,
         resulting_margin=-ds.margin_official + 2 * votes_to_move,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mvaudit.data import HEADER, ElectionDataset
-from mvaudit.fixtures import fixture_path, load_fixture
+from mvaudit.data import HEADER, ElectionDataset, load_dataset
+from mvaudit.fixtures import fixture_path
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -21,7 +21,7 @@ def fixture_csv_path() -> Path:
 
 @pytest.fixture(scope="session")
 def dataset() -> ElectionDataset:
-    return load_fixture()
+    return load_dataset(fixture_path())
 
 
 @pytest.fixture(scope="session")

@@ -56,7 +56,7 @@ def simulate_election(
     statuses are unchanged; the result is deterministic in (seed, replication).
     """
     counts, _ = simulate_mail_counts(ds, params, seed, replication)
-    return ds.with_mail_c1(counts.tolist())
+    return ElectionDataset(*[getattr(ds, c) for c in HEADER[:5]], counts.tolist(), ds.status)
 
 
 def replicate_once(

@@ -14,8 +14,14 @@ import numpy as np
 import pytest
 
 from mvaudit.cli import main as cli_main
-from mvaudit.data import aggregate_red, parse_dataset, reversal_threshold, serialize_dataset
-from mvaudit.fixtures import load_fixture
+from mvaudit.data import (
+    aggregate_red,
+    load_dataset,
+    parse_dataset,
+    reversal_threshold,
+    serialize_dataset,
+)
+from mvaudit.fixtures import fixture_path
 from mvaudit.montecarlo import ModelParameters, calibrate, replicate_once
 from mvaudit.prediction import analyze_dataset
 from mvaudit.scenario import build_reversal_scenario
@@ -35,7 +41,7 @@ def report_pass(n: int, label: str) -> None:
 
 def test_criterion_1_headline_probability(dataset):
     start = time.perf_counter()
-    ds = load_fixture()
+    ds = load_dataset(fixture_path())
     result = analyze_dataset(ds)
     elapsed = time.perf_counter() - start
     p = result.report.p_reversal.value

@@ -1,12 +1,17 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -594,6 +599,82 @@ class TestJsonOutput:
             finally:
                 tracemalloc.stop()
         assert peak <= 24 * n
+
+
+ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+EPIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or, as when buffered, whose ``flush`` raises ``error``."""
+
+    def __init__(self, error, failing):
+        super().__init__()
+        self.error, self.failing = error, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise self.error
+
+
+class TestStdoutFailure:
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("error", [ENOSPC, EPIPE], ids=["full", "closed_pipe"])
+    @pytest.mark.parametrize("argv", [("analyze",), ("analyze", "--json"),
+                                      ("calibrate", "--reps", "100", "--json")],
+                             ids=["text", "json", "calibrate_json"])
+    def test_one_error_line_on_stderr(self, capsys, monkeypatch, fixture_arg, argv, error,
+                                      failing):
+        # no error object is written to the stdout that just failed; a stdout
+        # that cannot be flushed is closed, so that exit does not flush it again
+        stdout = FailingStdout(error, failing)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([argv[0], fixture_arg, *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert stdout.closed is (failing == "flush")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+    def test_out_that_cannot_be_written_is_a_data_error(self, capsys, fixture_arg):
+        code, out, err = run(capsys, "scenario", fixture_arg, "--out", "/dev/full", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "data", "message": str(ENOSPC)}}
+
+    @staticmethod
+    def command(*argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        python = [sys.executable, *(["-u"] if unbuffered else [])]
+        return [*python, "-m", "mvaudit.cli", *argv], env
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("analyze",), ("analyze", "--json"),
+                                      ("calibrate", "--reps", "100", "--json")],
+                             ids=["text", "json", "calibrate_json"])
+    def test_full_disk_ends_without_traceback(self, fixture_arg, argv, unbuffered):
+        command, env = self.command(argv[0], fixture_arg, *argv[1:], unbuffered=unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {ENOSPC}\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_ends_without_traceback(self, fixture_arg, unbuffered):
+        # as `| head -c 100`: the reader leaves while 5,000 t statistics (about
+        # 130 kB, twice a pipe's buffer) are still being written
+        command, env = self.command("calibrate", fixture_arg, "--reps", "5000", "--json",
+                                    unbuffered=unbuffered)
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, f"error: {EPIPE}\n")
 
 
 class TestCollector:

@@ -12,13 +12,12 @@ import mvaudit
 
 SRC = Path(mvaudit.__file__).parent
 MVBENCH = SRC.parent.parent / "mvbench"
+SCRIPTS = SRC.parent.parent / "scripts"
 
-# exported functions that neither a command nor the benchmark calls, and why
+# exported functions that neither a command, the benchmark nor a script calls, and why
 # the library still ships them
 UNCALLED_EXPORTS = {
     "reg_inc_beta": "the acceptance gate checks the incomplete-beta core through it",
-    "load_fixture": "the bundled dataset for library users; conftest.py and the acceptance gate "
-                    "read it through the session fixture",
 }
 
 # modules analyze, validate, scenario and plot have no use for; dataclasses
@@ -106,9 +105,9 @@ def exported_callables(path: Path):
 
 def test_every_exported_function_is_called():
     # the library ships no code that only tests call: each exported function,
-    # and each public method of an exported class, is called by the package
-    # or the benchmark, outside its own body
-    paths = sorted(SRC.rglob("*.py")) + sorted(MVBENCH.rglob("*.py"))
+    # and each public method of an exported class, is called by the package,
+    # the benchmark or a script, outside its own body
+    paths = [*SRC.rglob("*.py"), *MVBENCH.rglob("*.py"), *SCRIPTS.glob("*.py")]
     sites = [(path, name, enclosing) for path in paths
              for name, enclosing in calls(ast.parse(path.read_text(encoding="utf-8")))]
     uncalled = [
