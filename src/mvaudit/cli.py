@@ -9,7 +9,6 @@ loads the input and writes the payload a ``cmd_*`` handler returns, or the error
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from contextlib import suppress
 from functools import partial
 
 from . import __version__
-from .data import ElectionDataset, contested_statuses, half_margin, load_dataset, serialize_dataset
+from .data import ElectionDataset, half_margin, load_dataset, serialize_dataset
 from .errors import AuditError
 from .montecarlo import calibrate
 from .prediction import analyze_dataset, prediction_interval
@@ -114,15 +113,24 @@ def cmd_analyze(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     return payload
 
 
+def _write_all(text: str) -> None:
+    """Write all of ``text`` to stdout, or raise: unbuffered, a raw write can take only part."""
+    out, data = sys.stdout, text
+    out.flush()
+    if hasattr(out, "buffer"):  # in process, stdout may have no binary layer
+        out, data = out.buffer, memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[out.write(data) :]
+
+
 def cmd_scenario(ds: ElectionDataset, args: argparse.Namespace) -> dict:
-    _, red = ds.split(args.include_dubious)
     votes = args.votes
     if votes is None:
         margin = ds.margin_official
         if margin <= 0:
             raise AuditError(f"official margin is {margin}; no deficit to reassign")
         votes = half_margin(margin)
-    result = build_reversal_scenario(ds, red, votes, base=args.base)
+    result = build_reversal_scenario(ds, votes, args.base, args.include_dubious)
     csv_text = serialize_dataset(result.modified)
     summary = {
         "command": "scenario",
@@ -144,7 +152,7 @@ def cmd_scenario(ds: ElectionDataset, args: argparse.Namespace) -> dict:
             print(f"modified dataset written to {args.out}")
         return summary
     if not args.json:
-        sys.stdout.write(csv_text)
+        _write_all(csv_text)
         print(moved, file=sys.stderr)
     return {**summary, "csv": csv_text}
 
@@ -152,8 +160,7 @@ def cmd_scenario(ds: ElectionDataset, args: argparse.Namespace) -> dict:
 def cmd_plot(ds: ElectionDataset, args: argparse.Namespace) -> dict:
     title = "Mail vs ballot vote shares - official results"
     if args.votes is not None:
-        _, red = ds.split(args.include_dubious)
-        ds = build_reversal_scenario(ds, red, args.votes, base=args.base).modified
+        ds = build_reversal_scenario(ds, args.votes, args.base, args.include_dubious).modified
         title = "Mail vs ballot vote shares - modified results"
     svg = render_scatter(ds, include_dubious=args.include_dubious, title=title)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -190,7 +197,7 @@ def cmd_calibrate(ds: ElectionDataset, args: argparse.Namespace) -> dict:
 
 
 def cmd_validate(ds: ElectionDataset, args: argparse.Namespace) -> dict:
-    red11, red14 = (sum(map(ds.status.count, contested_statuses(flag))) for flag in (False, True))
+    red11, red14 = (sum(ds.contested(flag)) for flag in (False, True))
     payload = {
         "command": "validate",
         "districts": len(ds),
@@ -298,10 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # numpy loads on first use; no BLAS call pays for a worker thread per CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    # a command builds no reference cycles worth collecting; the collector
-    # would only rescan the freshly parsed columns
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         try:
             payload, code = args.func(load_dataset(args.input), args), 0
@@ -321,9 +324,6 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.close()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ __all__ = [
     "parse_dataset",
     "load_dataset",
     "serialize_dataset",
-    "contested_statuses",
     "aggregate_red",
     "half_margin",
     "reversal_threshold",
@@ -187,6 +186,11 @@ class ElectionDataset:
         c1 = sum(self.ballot_c1) + sum(self.mail_c1)
         return sum(self.ballot_total) + sum(self.mail_total) - 2 * c1
 
+    def contested(self, include_dubious: bool = False) -> list[bool]:
+        """Whether each district, in file order, is contested: red, and dubious on request."""
+        statuses = {"red", "dubious"} if include_dubious else {"red"}
+        return list(map(statuses.__contains__, self.status))
+
     def split(
         self, include_dubious_as_red: bool = False
     ) -> tuple[ElectionDataset, ElectionDataset]:
@@ -194,8 +198,7 @@ class ElectionDataset:
 
         Dubious districts are accepted ("green") unless ``include_dubious_as_red``.
         """
-        contested = contested_statuses(include_dubious_as_red)
-        red = list(map(contested.__contains__, self.status))
+        red = self.contested(include_dubious_as_red)
         return self._rows(list(map(not_, red))), self._rows(red)
 
     def _rows(self, selected: list[bool]) -> ElectionDataset:
@@ -333,11 +336,6 @@ def serialize_dataset(ds: ElectionDataset) -> str:
     lines = []  # a CR in the line terminator quotes a field holding CR, as Python 3.13 does
     csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
     return "".join(line[:-2] + "\n" for line in lines)
-
-
-def contested_statuses(include_dubious: bool) -> set[str]:
-    """Statuses on the contested side; dubious joins red only on request."""
-    return {"red", "dubious"} if include_dubious else {"red"}
 
 
 def aggregate_red(red: ElectionDataset) -> RedTotals:

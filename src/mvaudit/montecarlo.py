@@ -37,10 +37,11 @@ the package skips it.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .data import ElectionDataset, RedTotals, aggregate_red, contested_statuses
+from .data import ElectionDataset, RedTotals, aggregate_red
 from .errors import AuditError
 from .prediction import _standardize
 from .special import student_t_cdf, student_t_quantile
@@ -211,15 +212,12 @@ def _replications(
     # 53-bit uniforms keep every Box-Muller |z| below 8.58
     if not math.isfinite(abs(k) * max(ds.ballot_c1) + 8.6 * sigma * math.sqrt(top_mail)):
         raise AuditError(f"model k={k!r}, sigma={sigma!r} overflows a double in the draws")
-    contested = contested_statuses(include_dubious)
-    red_rows = np.array([i for i, s in enumerate(ds.status) if s in contested], dtype=np.intp)
-    used = [
-        i for i, (s, m) in enumerate(zip(ds.status, ds.mail_total)) if s not in contested and m > 0
-    ]
-    ballot_c1 = [ds.ballot_c1[i] for i in used]
-    mail_total = [ds.mail_total[i] for i in used]
-    used = np.array(used, dtype=np.intp)  # a list would be converted again on every block
+    ballot_c1, mail_total = (  # the fitted rows, selected as fit_through_origin selects them
+        list(compress(column, green.mail_total)) for column in (green.ballot_c1, green.mail_total)
+    )
+    red_rows = np.array(ds.contested(include_dubious))
     columns = _float_columns(ds)
+    used = ~red_rows & (columns[1] > 0)
     # one row per fitted district and one column per replication, for _fsums
     ballot_c1_f, mail_total_f = columns[0][used, None], columns[1][used, None]
     exact_floats = max(ballot_c1, default=0) * max(mail_total, default=0) < 2**53

@@ -60,21 +60,22 @@ def _largest_remainder(amount: int, bases: dict[str, int]) -> dict[str, int]:
 
 def build_reversal_scenario(
     ds: ElectionDataset,
-    red: ElectionDataset,
     votes_to_move: int,
     base: str = "mail_total",
+    include_dubious: bool = False,
 ) -> ScenarioResult:
     """Reassign ``votes_to_move`` mail votes from candidate 2 to candidate 1.
 
-    Allocation is proportional to each contested district's mail total (or to
-    its candidate-2 mail count with ``base="mail_c2"``), capped at what the
-    district can give; any capped surplus is redistributed by the same rule
-    among the districts still below their cap.
+    The districts ``ds.contested(include_dubious)`` marks get them in proportion to each one's
+    mail total (or to its candidate-2 mail count with ``base="mail_c2"``), capped at what the
+    district can give; any capped surplus is redistributed by the same rule among the
+    districts still below their cap.
     """
     if base not in ALLOCATION_BASES:
         raise AuditError(f"unknown allocation base {base!r}; expected one of {ALLOCATION_BASES}")
     if votes_to_move < 0:
         raise AuditError(f"votes_to_move must be nonnegative, got {votes_to_move}")
+    red = ds._rows(ds.contested(include_dubious))
     red_ids = red.district_id
     capacity = dict(zip(red_ids, map(sub, red.mail_total, red.mail_c1)))
     total_capacity = sum(capacity.values())
@@ -93,7 +94,7 @@ def build_reversal_scenario(
             remaining -= take
         active = [k for k in active if capacity[k] > alloc[k]]
 
-    # each district of red (ds's contested side) gains at most its mail_total - mail_c1: no check
+    # each of ds's own contested districts gains at most its mail_total - mail_c1: no check
     mail_c1 = tuple(map(add, ds.mail_c1, map(alloc.get, ds.district_id, repeat(0))))
     columns = (ds.district_id, ds.name, ds.ballot_total, ds.ballot_c1, ds.mail_total, mail_c1)
     return ScenarioResult(

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mvaudit.data import HEADER, ElectionDataset, aggregate_red, contested_statuses
+from mvaudit.data import HEADER, ElectionDataset, aggregate_red
 from mvaudit.montecarlo import ModelParameters, ReplicationOutcome
 from mvaudit.prediction import _standardize
 from mvaudit.special import student_t_cdf
@@ -68,7 +68,7 @@ def replicate_once(
 ) -> ReplicationOutcome:
     """Simulate, build the accepted side anew, refit it, standardize."""
     counts, n_clamped = simulate_mail_counts(ds, params, seed, replication)
-    contested = contested_statuses(include_dubious)
+    contested = {"red", "dubious"} if include_dubious else {"red"}  # apart from ds.contested
     red_rows = [s in contested for s in ds.status]
     green_rows = [not r for r in red_rows]
     columns = [getattr(ds, c) for c in HEADER]

@@ -73,8 +73,7 @@ def test_criterion_3_fourteen_district_variant(dataset):
 
 
 def test_criterion_4_reversal_scenario(dataset):
-    _, red = dataset.split()
-    result = build_reversal_scenario(dataset, red, 15_432)
+    result = build_reversal_scenario(dataset, 15_432)
     assert result.resulting_margin == 1
     m = result.modified
     c1_votes = sum(m.ballot_c1) + sum(m.mail_c1)
@@ -90,9 +89,10 @@ def test_criterion_4_reversal_scenario(dataset):
             n_red=int(rng.integers(1, 6)),
             n_dubious=int(rng.integers(0, 3)),
         )
-        _, reds = ds.split(bool(rng.integers(0, 2)))
+        include_dubious = bool(rng.integers(0, 2))
+        _, reds = ds.split(include_dubious)
         votes = int(rng.integers(0, sum(reds.mail_total) - sum(reds.mail_c1) + 1))
-        scenario = build_reversal_scenario(ds, reds, votes)
+        scenario = build_reversal_scenario(ds, votes, include_dubious=include_dubious)
         assert scenario.resulting_margin == -ds.margin_official + 2 * votes
         m = scenario.modified
         assert sum(m.ballot_total) + sum(m.mail_total) == sum(ds.ballot_total) + sum(ds.mail_total)

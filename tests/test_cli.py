@@ -2,7 +2,6 @@
 
 import contextlib
 import errno
-import gc
 import hashlib
 import io
 import json
@@ -676,33 +675,24 @@ class TestStdoutFailure:
             err = proc.stderr.read()
         assert (proc.returncode, err) == (1, f"error: {EPIPE}\n")
 
-
-class TestCollector:
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_state_is_restored(self, monkeypatch, fixture_arg, bad_csv, enabled):
-        # off while a command runs; afterwards as the caller left it, however main ends
-        during = []
-        load = cli.load_dataset
-
-        def recording(path):
-            during.append(gc.isenabled())
-            return load(path)
-
-        monkeypatch.setattr(cli, "load_dataset", recording)
-        before = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            assert main(["validate", fixture_arg]) == 0
-            assert gc.isenabled() is enabled
-            assert main(["validate", bad_csv]) == 1
-            assert gc.isenabled() is enabled
-            with pytest.raises(SystemExit) as exc:
-                main(["validate", fixture_arg, "--bogus"])
-            assert exc.value.code == 2
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if before else gc.disable)()
-        assert during == [False, False]
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_scenario_to_a_closed_pipe_ends_with_one_error(self, tmp_path, unbuffered):
+        # the CSV (about 200 kB, three times a pipe's buffer) goes out in one write;
+        # unbuffered, the raw write is short when the reader leaves, and the rest
+        # must still be written or fail, not be dropped
+        rows = (f"d{i:04d},District {i},1000,400,100,40,{'green' if i % 50 else 'red'}"
+                for i in range(5000))
+        big = tmp_path / "big.csv"
+        big.write_text("district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+                       + "\n".join(rows) + "\n")
+        command, env = self.command("scenario", str(big), "--votes", "1000",
+                                    unbuffered=unbuffered)
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, f"error: {EPIPE}\n")
 
 
 class TestUsage:

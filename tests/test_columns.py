@@ -162,7 +162,7 @@ class TestScenarioColumn:
         _, red = ds.split(include_dubious)
         capacity = sum(red.mail_total) - sum(red.mail_c1)
         votes = data.draw(st.integers(0, capacity))
-        modified = build_reversal_scenario(ds, red, votes).modified
+        modified = build_reversal_scenario(ds, votes, include_dubious=include_dubious).modified
         contested = set(red.district_id)
         for column in HEADER:
             if column != "mail_c1":

@@ -5,6 +5,7 @@ import io
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from mvaudit.data import (
     serialize_dataset,
 )
 from tests import csv_oracle
-from tests.conftest import dataset_of, rows_of
+from tests.conftest import dataset_of, make_random_dataset, rows_of
 
 HEADER_LINE = ",".join(HEADER)
 
@@ -544,6 +545,19 @@ class TestPartition:
             green, red = dataset.split(include_dubious_as_red=flag)
             ids = sorted(green.district_id + red.district_id)
             assert ids == sorted(dataset.district_id)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 4), st.integers(0, 3))
+    @settings(max_examples=50)
+    def test_contested_marks_the_split_rows(self, seed, n_green, n_red, n_dubious):
+        rng = np.random.default_rng(seed)
+        rows = rows_of(make_random_dataset(rng, n_green, n_red, n_dubious))
+        ds = dataset_of([rows[i] for i in rng.permutation(len(rows))])  # statuses interleaved
+        for flag in (False, True):
+            contested = ds.contested(flag)
+            assert contested == [s == "red" or (flag and s == "dubious") for s in ds.status]
+            green, red = ds.split(flag)
+            assert rows_of(red) == [row for row, c in zip(rows_of(ds), contested) if c]
+            assert rows_of(green) == [row for row, c in zip(rows_of(ds), contested) if not c]
 
     def test_no_dubious_means_flag_is_noop(self):
         ds = parse_dataset(csv_of("1,A,100,40,50,20,green", "2,B,100,40,50,20,red"))

@@ -17,8 +17,7 @@ def red(i, mail_total, mail_c1, ballot_c1=500):
 
 
 def two_red_dataset():
-    ds = dataset_of((red(1, 100, 20), red(2, 300, 60)))
-    return ds, ds.split()[1]
+    return dataset_of((red(1, 100, 20), red(2, 300, 60)))
 
 
 def c1_minus_c2(ds):
@@ -30,70 +29,78 @@ def c1_minus_c2(ds):
 
 class TestAllocation:
     def test_exact_proportionality(self):
-        ds, reds = two_red_dataset()
-        result = build_reversal_scenario(ds, reds, 4)
+        result = build_reversal_scenario(two_red_dataset(), 4)
         assert result.votes_moved == {"s001": 1, "s002": 3}
 
     def test_zero_votes_is_identity(self, dataset):
-        _, reds = dataset.split()
-        result = build_reversal_scenario(dataset, reds, 0)
+        result = build_reversal_scenario(dataset, 0)
         assert result.modified == dataset
         assert serialize_dataset(result.modified) == serialize_dataset(dataset)
         assert result.resulting_margin == -dataset.margin_official
 
     def test_fixture_default_scenario_flips_by_one(self, dataset):
-        _, reds = dataset.split()
-        result = build_reversal_scenario(dataset, reds, 15432)
+        result = build_reversal_scenario(dataset, 15432)
         assert result.total_moved == 15432
         assert result.resulting_margin == 1
         # recompute the national margin from scratch, candidate-1-positive
         assert c1_minus_c2(result.modified) == 1
 
+    def test_dubious_side_on_request(self, dataset):
+        result = build_reversal_scenario(dataset, 1000, include_dubious=True)
+        assert result.votes_moved == {
+            "d004": 60, "d005": 65, "d014": 59, "d022": 73, "d028": 80, "d045": 81, "d052": 62,
+            "d060": 80, "d062": 61, "d070": 81, "d075": 84, "d076": 68, "d093": 71, "d115": 75,
+        }
+        assert tuple(result.votes_moved) == dataset.split(True)[1].district_id
+        changed = {
+            district_id
+            for district_id, before, after in zip(
+                dataset.district_id, dataset.mail_c1, result.modified.mail_c1
+            )
+            if before != after
+        }
+        assert changed == set(result.votes_moved)
+
     def test_caps_respected_with_redistribution(self):
         # first district can only give 5; the rest must absorb the surplus
         ds = dataset_of((red(1, 100, 95), red(2, 300, 60), red(3, 300, 60)))
-        result = build_reversal_scenario(ds, ds.split()[1], 200)
+        result = build_reversal_scenario(ds, 200)
         assert result.votes_moved["s001"] == 5
         assert sum(result.votes_moved.values()) == 200
         for mail_c1, mail_total in zip(result.modified.mail_c1, result.modified.mail_total):
             assert 0 <= mail_c1 <= mail_total
 
     def test_capacity_error_names_shortfall(self):
-        ds, reds = two_red_dataset()
         with pytest.raises(CapacityError, match="short by 80"):
-            build_reversal_scenario(ds, reds, 400)
+            build_reversal_scenario(two_red_dataset(), 400)
 
     def test_deterministic_tie_break_by_id(self):
         # equal bases and one leftover vote: ascending district_id wins
         ds = dataset_of((red(2, 100, 20), red(1, 100, 20)))
-        result = build_reversal_scenario(ds, ds.split()[1], 1)
+        result = build_reversal_scenario(ds, 1)
         assert result.votes_moved == {"s001": 1, "s002": 0}
 
     def test_repeatable(self, dataset):
-        _, reds = dataset.split()
-        a = build_reversal_scenario(dataset, reds, 15432)
-        b = build_reversal_scenario(dataset, reds, 15432)
+        a = build_reversal_scenario(dataset, 15432)
+        b = build_reversal_scenario(dataset, 15432)
         assert a.votes_moved == b.votes_moved
         assert a.modified == b.modified
 
     def test_alternate_base(self):
         ds = dataset_of((red(1, 100, 90), red(2, 300, 150)))
-        _, reds = ds.split()
-        by_total = build_reversal_scenario(ds, reds, 8, base="mail_total")
-        by_capacity = build_reversal_scenario(ds, reds, 8, base="mail_c2")
+        by_total = build_reversal_scenario(ds, 8, base="mail_total")
+        by_capacity = build_reversal_scenario(ds, 8, base="mail_c2")
         assert by_total.votes_moved == {"s001": 2, "s002": 6}
         # capacities are 10 and 150: quotas 0.5/7.5, remainder tie -> lower id
         assert by_capacity.votes_moved == {"s001": 1, "s002": 7}
 
     def test_negative_votes_rejected(self):
-        ds, reds = two_red_dataset()
         with pytest.raises(AuditError, match="^votes_to_move must be nonnegative, got -1$"):
-            build_reversal_scenario(ds, reds, -1)
+            build_reversal_scenario(two_red_dataset(), -1)
 
     def test_unknown_base_rejected(self):
-        ds, reds = two_red_dataset()
         with pytest.raises(Exception, match="allocation base"):
-            build_reversal_scenario(ds, reds, 1, base="ballot_total")
+            build_reversal_scenario(two_red_dataset(), 1, base="ballot_total")
 
 
 class TestInvariants:
@@ -106,10 +113,11 @@ class TestInvariants:
                 n_red=int(rng.integers(1, 6)),
                 n_dubious=int(rng.integers(0, 3)),
             )
-            _, reds = ds.split(bool(rng.integers(0, 2)))
+            include_dubious = bool(rng.integers(0, 2))
+            _, reds = ds.split(include_dubious)
             capacity = sum(reds.mail_total) - sum(reds.mail_c1)
             votes = int(rng.integers(0, capacity + 1))
-            result = build_reversal_scenario(ds, reds, votes)
+            result = build_reversal_scenario(ds, votes, include_dubious=include_dubious)
             modified = result.modified
             # conservation per district and nationally
             assert modified.ballot_total == ds.ballot_total
