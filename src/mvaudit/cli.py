@@ -17,7 +17,7 @@ from contextlib import suppress
 from functools import partial
 
 from . import __version__
-from .data import ElectionDataset, half_margin, load_dataset, serialize_dataset
+from .data import ElectionDataset, load_dataset, serialize_dataset
 from .errors import AuditError
 from .montecarlo import calibrate
 from .prediction import analyze_dataset, prediction_interval
@@ -124,13 +124,7 @@ def _write_all(text: str) -> None:
 
 
 def cmd_scenario(ds: ElectionDataset, args: argparse.Namespace) -> dict:
-    votes = args.votes
-    if votes is None:
-        margin = ds.margin_official
-        if margin <= 0:
-            raise AuditError(f"official margin is {margin}; no deficit to reassign")
-        votes = half_margin(margin)
-    result = build_reversal_scenario(ds, votes, args.base, args.include_dubious)
+    result = build_reversal_scenario(ds, args.votes, args.base, args.include_dubious)
     csv_text = serialize_dataset(result.modified)
     summary = {
         "command": "scenario",
@@ -254,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, votes=False):
+    def common(p: argparse.ArgumentParser, votes=False, dubious=True):
         p.add_argument("input", help="district results CSV")
-        p.add_argument(
-            "--include-dubious",
-            action="store_true",
-            help="treat the dubious districts as contested (14 instead of 11)",
-        )
+        if dubious:  # validate reports both partitions
+            p.add_argument(
+                "--include-dubious",
+                action="store_true",
+                help="treat the dubious districts as contested (14 instead of 11)",
+            )
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if votes:
             p.add_argument("--votes", type=_nonnegative_int, help="mail votes to reassign")
@@ -296,12 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("validate", help="parse a dataset and report its shape")
-    common(p)
+    common(p, dubious=False)
     p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is UTF-8, as the input is read; its error handler stays, so surrogateescape
+    # (a C locale's) still writes a path given as bytes that are not UTF-8 as those bytes
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     args = build_parser().parse_args(argv)
     # numpy loads on first use; no BLAS call pays for a worker thread per CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -55,7 +55,6 @@ __all__ = [
     "load_dataset",
     "serialize_dataset",
     "aggregate_red",
-    "half_margin",
     "reversal_threshold",
 ]
 
@@ -345,11 +344,6 @@ def aggregate_red(red: ElectionDataset) -> RedTotals:
     return RedTotals(sum(red.ballot_c1), sum(red.mail_total), sum(red.mail_c1))
 
 
-def half_margin(margin: int) -> int:
-    """Half the margin rounded up, exact for integers of any size."""
-    return (margin + 1) // 2
-
-
 def reversal_threshold(ds: ElectionDataset, red: ElectionDataset, strict: bool = False) -> int:
     """Mail votes candidate 1 would need in the contested districts to win.
 
@@ -366,4 +360,4 @@ def reversal_threshold(ds: ElectionDataset, red: ElectionDataset, strict: bool =
     counted = aggregate_red(red).mail_c1
     if strict:
         return counted + margin // 2 + 1
-    return counted + half_margin(margin)
+    return counted + (margin + 1) // 2

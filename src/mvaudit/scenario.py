@@ -13,7 +13,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import NamedTuple
 
-from .data import ElectionDataset
+from .data import ElectionDataset, reversal_threshold
 from .errors import AuditError
 
 __all__ = ["CapacityError", "ScenarioResult", "build_reversal_scenario"]
@@ -60,12 +60,13 @@ def _largest_remainder(amount: int, bases: dict[str, int]) -> dict[str, int]:
 
 def build_reversal_scenario(
     ds: ElectionDataset,
-    votes_to_move: int,
+    votes_to_move: int | None = None,
     base: str = "mail_total",
     include_dubious: bool = False,
 ) -> ScenarioResult:
     """Reassign ``votes_to_move`` mail votes from candidate 2 to candidate 1.
 
+    With no count it moves what reverses the result: ``reversal_threshold`` less the counted votes.
     The districts ``ds.contested(include_dubious)`` marks get them in proportion to each one's
     mail total (or to its candidate-2 mail count with ``base="mail_c2"``), capped at what the
     district can give; any capped surplus is redistributed by the same rule among the
@@ -73,9 +74,11 @@ def build_reversal_scenario(
     """
     if base not in ALLOCATION_BASES:
         raise AuditError(f"unknown allocation base {base!r}; expected one of {ALLOCATION_BASES}")
+    red = ds._rows(ds.contested(include_dubious))
+    if votes_to_move is None:
+        votes_to_move = reversal_threshold(ds, red) - sum(red.mail_c1)
     if votes_to_move < 0:
         raise AuditError(f"votes_to_move must be nonnegative, got {votes_to_move}")
-    red = ds._rows(ds.contested(include_dubious))
     red_ids = red.district_id
     capacity = dict(zip(red_ids, map(sub, red.mail_total, red.mail_c1)))
     total_capacity = sum(capacity.values())

@@ -144,9 +144,9 @@ def all_green_csv(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [("analyze",), ("calibrate", "--reps", "100")])
+@pytest.mark.parametrize("argv", [("analyze",), ("calibrate", "--reps", "100"), ("scenario",)])
 def test_no_contested_districts_exits_one(capsys, all_green_csv, argv):
-    # analyze and calibrate reject a file without contested districts alike
+    # analyze, calibrate and the default scenario reject a file without contested districts alike
     message = "dataset has no contested districts"
     code, out, err = run(capsys, argv[0], all_green_csv, *argv[1:])
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -336,8 +336,8 @@ class TestScenario:
             encoding="utf-8",
         )
         code, out, err = run(capsys, "scenario", str(path))
-        message = "error: official margin is -480; no deficit to reassign\n"
-        assert (code, out, err) == (1, "", message)
+        message = "error: official margin is -480; candidate 2 does not lead, no reversal to test"
+        assert (code, out, err) == (1, "", f"{message}\n")
 
     def test_oversized_request_fails(self, capsys, fixture_arg):
         code, _, err = run(capsys, "scenario", fixture_arg, "--votes", "99999999")
@@ -547,6 +547,12 @@ class TestValidate:
         assert code == 0
         assert "dataset OK" in out
 
+    def test_include_dubious_is_a_usage_error(self, fixture_arg):
+        # validate reports both partitions, so the flag has nothing to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", fixture_arg, "--include-dubious"])
+        assert exc.value.code == 2
+
     def test_invalid_utf8_json_error(self, capsys, non_utf8_csv):
         path, line = non_utf8_csv
         code, out, _ = run(capsys, "validate", path, "--json")
@@ -693,6 +699,65 @@ class TestStdoutFailure:
             proc.stdout.close()
             err = proc.stderr.read()
         assert (proc.returncode, err) == (1, f"error: {EPIPE}\n")
+
+
+# four districts, one of them without mail votes, whose id and name are not ASCII
+UMLAUT_CSV = (
+    "district_id,name,ballot_total,ballot_c1,mail_total,mail_c1,status\n"
+    "1,Wien-Döbling,1000,400,200,90,green\n"
+    "2,B,1200,500,300,140,green\n"
+    "3,C,900,300,250,70,green\n"
+    "ö4,Grünau,800,300,0,0,green\n"
+    "5,E,1000,450,200,95,red\n"
+)
+
+
+@pytest.mark.parametrize("encoding", ["cp1252", "ascii"])
+class TestStdoutEncoding:
+    """stdout is UTF-8, as the input is read, whatever encoding the locale asks for."""
+
+    @pytest.fixture()
+    def umlaut_csv(self, tmp_path):
+        path = tmp_path / "umlaut.csv"
+        path.write_text(UMLAUT_CSV, encoding="utf-8")
+        return path
+
+    @staticmethod
+    def mvaudit(encoding, *argv):
+        env = {**os.environ, "PYTHONIOENCODING": encoding,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "mvaudit.cli", *map(str, argv)], env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_scenario_stdout_is_its_out_file(self, capsys, tmp_path, umlaut_csv, encoding):
+        out = tmp_path / "out.csv"
+        stdout = self.mvaudit(encoding, "scenario", umlaut_csv, "--votes", "10")
+        self.mvaudit(encoding, "scenario", umlaut_csv, "--votes", "10", "--out", out)
+        assert stdout == out.read_bytes()
+        piped = tmp_path / "stdout.csv"
+        piped.write_bytes(stdout)
+        code, text, _ = run(capsys, "validate", str(piped))
+        assert code == 0 and text.endswith("dataset OK\n")
+
+    def test_analyze_names_the_excluded_id_in_utf8(self, umlaut_csv, encoding):
+        stdout = self.mvaudit(encoding, "analyze", umlaut_csv)
+        line = "fitted districts     : 3 (1 without mail votes excluded: ö4)\n"
+        assert line.encode("utf-8") in stdout
+
+    def test_plot_names_its_file_in_utf8(self, tmp_path, umlaut_csv, encoding):
+        svg = tmp_path / "grafik_ö.svg"
+        stdout = self.mvaudit(encoding, "plot", umlaut_csv, "--out", svg)
+        assert stdout == f"wrote {svg}\n".encode("utf-8")
+        assert svg.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs file names that are not UTF-8")
+    def test_error_handler_is_kept(self, tmp_path, umlaut_csv, encoding):
+        # under surrogateescape a name that is not UTF-8 prints as its own bytes
+        svg = tmp_path / os.fsdecode(b"grafik_\xff.svg")
+        stdout = self.mvaudit(f"{encoding}:surrogateescape", "plot", umlaut_csv, "--out", svg)
+        assert stdout == b"wrote " + os.fsencode(svg) + b"\n"
 
 
 class TestUsage:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvaudit.data import serialize_dataset
+from mvaudit.data import aggregate_red, reversal_threshold, serialize_dataset
 from mvaudit.errors import AuditError
 from mvaudit.scenario import CapacityError, _largest_remainder, build_reversal_scenario
 from tests.conftest import dataset_of, make_random_dataset, rows_of
@@ -44,6 +44,30 @@ class TestAllocation:
         assert result.resulting_margin == 1
         # recompute the national margin from scratch, candidate-1-positive
         assert c1_minus_c2(result.modified) == 1
+
+    def test_fixture_default_moves_the_reversal_votes(self, dataset):
+        # half the 30,863 margin, rounded up: what analyze adds to the counted votes
+        result = build_reversal_scenario(dataset)
+        assert result.total_moved == 15432
+        assert result.resulting_margin == c1_minus_c2(result.modified) == 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 5), st.integers(0, 2))
+    @settings(max_examples=200)
+    def test_default_is_the_reversal_threshold(self, seed, n_green, n_red, n_dubious):
+        rng = np.random.default_rng(seed)
+        ds = make_random_dataset(rng, n_green=n_green, n_red=n_red, n_dubious=n_dubious)
+        assume(ds.margin_official > 0)
+        for include_dubious in (False, True):
+            _, red_side = ds.split(include_dubious)
+            votes = reversal_threshold(ds, red_side) - aggregate_red(red_side).mail_c1
+            try:
+                result = build_reversal_scenario(ds, include_dubious=include_dubious)
+            except CapacityError as exc:  # the contested districts cannot give that many
+                assert exc.requested == votes
+                continue
+            assert result.total_moved == votes
+            # an odd margin reverses to a lead of one, an even one to a tie
+            assert result.resulting_margin == ds.margin_official % 2
 
     def test_dubious_side_on_request(self, dataset):
         result = build_reversal_scenario(dataset, 1000, include_dubious=True)
