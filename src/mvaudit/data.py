@@ -32,6 +32,7 @@ holding CR is quoted on every Python version, as 3.13's csv.writer does.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from contextlib import suppress
@@ -123,14 +124,11 @@ def _check(columns: tuple[tuple, ...], proved=frozenset()) -> None:
         raise ValidationError(f"columns differ in length: {tuple(map(len, columns))}")
     if _fault(columns, proved) is None:
         return
-    good, bad = 0, len(columns[0])  # the first `good` rows break no rule, the first `bad` do
-    while bad - good > 1:
-        middle = (good + bad) // 2
-        if _fault(tuple(c[:middle] for c in columns), proved) is None:
-            good = middle
-        else:
-            bad = middle
-    raise ValidationError(_fault(tuple(c[:bad] for c in columns), proved), bad - 1)
+    def fault(row: int) -> str | None:  # the first rule that rows 0 to `row` break
+        return _fault(tuple(c[: row + 1] for c in columns), proved)
+
+    row = bisect.bisect_left(range(len(columns[0])), True, key=lambda r: fault(r) is not None)
+    raise ValidationError(fault(row), row)
 
 
 class ElectionDataset:

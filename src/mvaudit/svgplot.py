@@ -53,22 +53,12 @@ def _display_fit(points: list[tuple[float, float]]) -> tuple[float, float] | Non
 
 
 def _clip_line(a: float, b: float) -> tuple[float, float, float, float] | None:
-    """Clip y = a + b*x to the [0,100] x [0,100] box."""
-    pts = []
-    for x in (0.0, 100.0):
-        y = a + b * x
-        if 0.0 <= y <= 100.0:
-            pts.append((x, y))
-    if b != 0.0:
-        for y in (0.0, 100.0):
-            x = (y - a) / b
-            if 0.0 < x < 100.0:
-                pts.append((x, y))
-    pts = sorted(set(pts))
-    if len(pts) < 2:
-        return None
-    (x1, y1), (x2, y2) = pts[0], pts[-1]
-    return x1, y1, x2, y2
+    """Ends (x1, y1, x2, y2) of y = a + b*x where 0 <= x, y <= 100, or None if not a segment."""
+    if b == 0.0:
+        return (0.0, a, 100.0, a) if 0.0 <= a <= 100.0 else None
+    x1, x2 = -a / b, (100.0 - a) / b  # where the line meets y = 0 and y = 100
+    x1, x2 = max(0.0, min(x1, x2)), min(100.0, max(x1, x2))
+    return (x1, a + b * x1, x2, a + b * x2) if x1 < x2 else None
 
 
 def render_scatter(
@@ -125,20 +115,18 @@ def render_scatter(
             if b and m
         ]
 
-    line = _display_fit([(x, y) for x, y, _, _ in points(green)])
-    if line is not None:
-        seg = _clip_line(*line)
-        if seg is not None:
-            x1, y1, x2, y2 = seg
-            parts.append(
-                f'<line class="fit" x1="{_sx(x1):.2f}" y1="{_sy(y1):.2f}" '
-                f'x2="{_sx(x2):.2f}" y2="{_sy(y2):.2f}" stroke="#555" stroke-width="1.5"/>'
-            )
+    accepted = points(green)
+    line = _display_fit([(x, y) for x, y, _, _ in accepted])
+    if line is not None and (seg := _clip_line(*line)) is not None:
+        x1, y1, x2, y2 = seg
+        parts.append(
+            f'<line class="fit" x1="{_sx(x1):.2f}" y1="{_sy(y1):.2f}" '
+            f'x2="{_sx(x2):.2f}" y2="{_sy(y2):.2f}" stroke="#555" stroke-width="1.5"/>'
+        )
 
-    for side, color in ((green, _GREEN), (red, _RED)):
-        for x, y, name, status in points(side):
-            cls = "pt green" if color == _GREEN else "pt red"
-            extra = ""
+    for side, color, side_cls in ((accepted, _GREEN, "pt green"), (points(red), _RED, "pt red")):
+        for x, y, name, status in side:
+            cls, extra = side_cls, ""
             if status == "dubious":
                 cls += " dubious"
                 extra = ' stroke="#000" stroke-width="1.2" stroke-dasharray="2.5,1.5"'
@@ -150,23 +138,18 @@ def render_scatter(
 
     # legend (rect swatches so data circles stay countable)
     lx, ly = _ML + 12, _MT + 14
-    entries = [(_GREEN, "accepted districts"), (_RED, "contested districts")]
+    keys = [(f'fill="{_GREEN}"', "accepted districts"), (f'fill="{_RED}"', "contested districts")]
     if ds.status.count("dubious"):
-        entries.append((None, "dubious (dashed outline)"))
-    for i, (color, label) in enumerate(entries):
+        dashed = 'fill="none" stroke="#000" stroke-dasharray="2.5,1.5"'
+        keys.append((dashed, "dubious (dashed outline)"))
+    for i, (swatch, label) in enumerate(keys):
         y = ly + 18 * i
-        if color is not None:
-            parts.append(f'<rect x="{lx}" y="{y - 9}" width="11" height="11" fill="{color}"/>')
-        else:
-            parts.append(
-                f'<rect x="{lx}" y="{y - 9}" width="11" height="11" fill="none" '
-                f'stroke="#000" stroke-dasharray="2.5,1.5"/>'
-            )
+        parts.append(f'<rect x="{lx}" y="{y - 9}" width="11" height="11" {swatch}/>')
         parts.append(
             f'<text x="{lx + 17}" y="{y}" font-family="sans-serif" font-size="12">'
             f"{_escape(label)}</text>"
         )
-    y = ly + 18 * len(entries)
+    y = ly + 18 * len(keys)
     parts.append(
         f'<line x1="{lx}" y1="{y - 4}" x2="{lx + 11}" y2="{y - 4}" stroke="#555" stroke-width="1.5"/>'
     )

@@ -390,6 +390,17 @@ class TestPlot:
         assert code == 0
         assert "modified results" in out_file.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "figure, moved", [("figure1.svg", []), ("figure2.svg", ["--votes", "15432"])]
+    )
+    def test_reproduces_committed_figure(self, capsys, fixture_arg, tmp_path, figure, moved):
+        # figures/ holds scripts/make_figures.py's output: a changed byte is drift
+        out_file = tmp_path / figure
+        code, _, _ = run(capsys, "plot", fixture_arg, *moved, "--out", str(out_file))
+        assert code == 0
+        committed = Path(__file__).resolve().parent.parent / "figures" / figure
+        assert out_file.read_bytes() == committed.read_bytes()
+
     def test_out_required(self, capsys, fixture_arg):
         with pytest.raises(SystemExit) as exc:
             main(["plot", fixture_arg])

@@ -1,10 +1,12 @@
 """SVG scatter output: element counts, classes, frame geometry."""
 
+import random
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from xml.sax.saxutils import escape  # oracle for the text escaping
 
 from mvaudit.data import parse_dataset
-from mvaudit.svgplot import render_scatter
+from mvaudit.svgplot import _clip_line, render_scatter
 from tests.conftest import dataset_of
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -124,3 +126,62 @@ class TestRenderScatter:
         titles = [el.text for el in root.iter(f"{SVG_NS}title")]
         assert titles == ["A\ufffdB\ufffdC\ufffd\tD\x7f&", "B"]
         assert "t\ufffd\ufffd" in [el.text for el in root.iter(f"{SVG_NS}text")]
+
+
+def box_span(a, b):
+    """Exact ends of the x in [0, 100] where 0 <= a + b*x <= 100, or None when there are none.
+
+    The set is an interval whose ends are among x = 0, x = 100 and the two points
+    where the line meets y = 0 and y = 100, so the ends are the least and the
+    greatest of those candidates that lie in the box, in rational arithmetic.
+    """
+    a, b = Fraction(a), Fraction(b)
+    candidates = [Fraction(0), Fraction(100)] + ([-a / b, (100 - a) / b] if b else [])
+    inside = [x for x in candidates if 0 <= x <= 100 and 0 <= a + b * x <= 100]
+    return (min(inside), max(inside)) if inside else None
+
+
+def seeded_lines(n, seed=20161204):
+    """(a, b) of y = a + b*x: flat, steep, b = 0 and ±1, through a corner, missing the box."""
+    # the bottom and top edges, just above the box, touching only (100, 0) or
+    # only (0, 100), the diagonal
+    yield from (
+        (0.0, 0.0), (100.0, 0.0), (100.0 + 1e-12, 0.0), (-100.0, 1.0), (100.0, 1.0), (0.0, 1.0)
+    )
+    rng = random.Random(seed)
+    for _ in range(n):
+        form = rng.randrange(4)
+        if form == 0:
+            # through a corner; b = ±m * 2**k makes a = cy - b*cx exact, so the
+            # line meets the corner exactly and may touch the box only there
+            b = rng.choice((0, 1, -1)) * rng.randint(1, 1000) * 2.0 ** rng.randint(-30, 10)
+            cx, cy = rng.choice((0, 100)), rng.choice((0, 100))
+            yield cy - b * cx, b
+            continue
+        b = rng.choice((0.0, 1.0, -1.0, rng.choice((1, -1)) * 10 ** rng.uniform(-6, 6)))
+        if form == 1:
+            yield rng.uniform(-300.0, 400.0) - b * rng.uniform(-300.0, 400.0), b  # often misses
+        elif form == 2:
+            yield rng.uniform(0.0, 100.0) - b * rng.uniform(0.0, 100.0), b  # through the box
+        else:
+            yield rng.choice((0.0, 100.0, -1e-12, 100.0 + 1e-12, 50.0, -5.0, 105.0)), b
+
+
+class TestClipLine:
+    # render_scatter's display fit passes through the accepted points' mean,
+    # inside the box, so only a direct call reaches the None result
+    def test_segment_matches_the_exact_span(self):
+        nones = 0
+        for a, b in seeded_lines(20_000):
+            span, seg = box_span(a, b), _clip_line(a, b)
+            if span is None or span[0] == span[1]:
+                assert seg is None, (a, b)
+                nones += 1
+                continue
+            assert seg is not None, (a, b)
+            x1, y1, x2, y2 = seg
+            assert abs(x1 - span[0]) <= 1e-9 and abs(x2 - span[1]) <= 1e-9, (a, b)
+            for x, y in (x1, y1), (x2, y2):  # on the line, to rounding in a + b*x
+                off_line = Fraction(y) - Fraction(a) - Fraction(b) * Fraction(x)
+                assert abs(off_line) <= 1e-9 * (1 + abs(a)), (a, b)
+        assert 2_000 < nones < 18_000  # both outcomes are drawn often
